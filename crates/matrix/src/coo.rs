@@ -32,7 +32,9 @@ impl CooMatrix {
         ncols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> Result<Self> {
-        let mut t: Vec<(usize, usize, f64)> = Vec::with_capacity(triplets.len());
+        let mut rows = Vec::with_capacity(triplets.len());
+        let mut cols = Vec::with_capacity(triplets.len());
+        let mut vals = Vec::with_capacity(triplets.len());
         for &(r, c, v) in triplets {
             if r >= nrows || c >= ncols {
                 return Err(MatrixError::IndexOutOfBounds {
@@ -42,24 +44,54 @@ impl CooMatrix {
                     ncols,
                 });
             }
-            t.push((r, c, v));
+            rows.push(r as u32);
+            cols.push(c as u32);
+            vals.push(v);
         }
-        t.sort_unstable_by_key(|a| (a.0, a.1));
-        for w in t.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
+        Self::from_unsorted_parts(nrows, ncols, rows, cols, vals)
+    }
+
+    /// Build from in-bounds triplet arrays in any order: sort row-major and
+    /// reject duplicates. The one sort-and-validate routine behind
+    /// [`CooMatrix::from_triplets`] and the Matrix Market reader.
+    ///
+    /// Arrays that already arrive strictly row-major (what
+    /// [`crate::io::write_matrix_market`] emits) are taken as they are.
+    /// Otherwise entries are sorted by the packed key `row << 32 | col`,
+    /// and the smallest repeated position is reported as a duplicate.
+    pub(crate) fn from_unsorted_parts(
+        nrows: usize,
+        ncols: usize,
+        mut rows: Vec<u32>,
+        mut cols: Vec<u32>,
+        mut vals: Vec<f64>,
+    ) -> Result<Self> {
+        let key = |r: u32, c: u32| (r as u64) << 32 | c as u64;
+        let sorted = rows
+            .windows(2)
+            .zip(cols.windows(2))
+            .all(|(r, c)| key(r[0], c[0]) < key(r[1], c[1]));
+        if !sorted {
+            let mut entries: Vec<(u64, f64)> = rows
+                .iter()
+                .zip(&cols)
+                .zip(&vals)
+                .map(|((&r, &c), &v)| (key(r, c), v))
+                .collect();
+            entries.sort_unstable_by_key(|e| e.0);
+            if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
                 return Err(MatrixError::DuplicateEntry {
-                    row: w[0].0,
-                    col: w[0].1,
+                    row: (w[0].0 >> 32) as usize,
+                    col: (w[0].0 as u32) as usize,
                 });
             }
+            for (i, &(k, v)) in entries.iter().enumerate() {
+                rows[i] = (k >> 32) as u32;
+                cols[i] = k as u32;
+                vals[i] = v;
+            }
         }
-        Ok(CooMatrix {
-            nrows,
-            ncols,
-            rows: t.iter().map(|&(r, _, _)| r as u32).collect(),
-            cols: t.iter().map(|&(_, c, _)| c as u32).collect(),
-            vals: t.iter().map(|&(_, _, v)| v).collect(),
-        })
+        Ok(Self::from_sorted_parts(nrows, ncols, rows, cols, vals))
     }
 
     /// Build from triplet arrays that are already sorted row-major with no

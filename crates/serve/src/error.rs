@@ -164,14 +164,30 @@ impl ServeError {
         }
     }
 
-    /// The wire form of this error.
+    /// The wire form of this error. A message longer than
+    /// [`MAX_ERROR_MESSAGE`] bytes is cut on a char boundary and ends in
+    /// `...`, so JSON and binary replies carry the same text.
     pub fn envelope(&self) -> ErrorEnvelope {
+        let mut message = self.to_string();
+        if message.len() > MAX_ERROR_MESSAGE {
+            let mut cut = MAX_ERROR_MESSAGE - 3;
+            while !message.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            message.truncate(cut);
+            message.push_str("...");
+        }
         ErrorEnvelope {
             code: self.code().to_string(),
-            message: self.to_string(),
+            message,
         }
     }
 }
+
+/// Longest error-envelope message, in bytes. Messages echo client input
+/// (a matrix path, a GPU name, the first line of a file), and the binary
+/// framing writes strings with a `u16` length.
+pub const MAX_ERROR_MESSAGE: usize = 4096;
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -367,6 +383,25 @@ mod tests {
             assert_eq!(env.code, e.code());
             assert!(!env.message.is_empty());
         }
+    }
+
+    #[test]
+    fn long_messages_are_cut_on_a_char_boundary() {
+        // With the one-byte `x` ahead of them, the two-byte `é`s put the
+        // 4093-byte cut mid-character.
+        for name in ["x".repeat(70_000), format!("x{}", "\u{e9}".repeat(35_000))] {
+            let env = ServeError::UnknownGpu { name }.envelope();
+            assert!(
+                env.message.len() <= MAX_ERROR_MESSAGE,
+                "{}",
+                env.message.len()
+            );
+            assert!(env.message.len() > MAX_ERROR_MESSAGE - 8);
+            assert!(env.message.starts_with("unknown GPU `"));
+            assert!(env.message.ends_with("..."));
+        }
+        let short = ServeError::UnknownGpu { name: "TPU".into() };
+        assert_eq!(short.envelope().message, short.to_string());
     }
 
     #[test]

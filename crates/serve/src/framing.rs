@@ -99,10 +99,16 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(v as u8);
 }
 
+/// String with a `u16` length. Replies never need more: error messages,
+/// the only strings that echo client input, are capped when the envelope
+/// is built. A longer string is cut at the last char boundary that fits.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).expect("wire strings fit in u16");
-    put_u16(out, len);
-    out.extend_from_slice(s.as_bytes());
+    let mut len = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    put_u16(out, len as u16);
+    out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
 /// Long string: `u32` length. Only for payloads that can outgrow 64 KiB

@@ -178,6 +178,58 @@ fn oversized_and_zero_length_prefixes_answer_typed_and_close() {
     handle.join().unwrap();
 }
 
+/// Error messages echo client input. A binary `Select` whose matrix path
+/// fills a whole `u16` string yields an `io` message longer than a wire
+/// string may be; it must come back as a typed envelope, capped the same
+/// way over JSON, and the only worker must go on answering.
+#[test]
+fn oversize_error_messages_answer_typed_and_the_worker_keeps_serving() {
+    let (addr, handle) = start_server(single_worker());
+    let request = Request::Select {
+        matrix: Some("m".repeat(u16::MAX as usize)),
+        features: None,
+        gpu: "Volta".into(),
+        iterations: Some(200),
+        deadline_ms: None,
+        learn: Some(false),
+        workload: None,
+    };
+    let binary_conversation = |requests: &[&Request]| {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&MAGIC).unwrap();
+        for r in requests {
+            stream.write_all(&framing::encode_request(r)).unwrap();
+        }
+        let mut ack = [0u8; 4];
+        stream.read_exact(&mut ack).expect("magic ack");
+        assert_eq!(ack, MAGIC);
+        requests
+            .iter()
+            .map(|_| read_frame(&mut stream).expect("typed reply frame"))
+            .collect::<Vec<_>>()
+    };
+
+    let replies = binary_conversation(&[&request, &Request::Stats]);
+    assert!(!replies[0].ok);
+    let envelope = replies[0].error.clone().expect("error envelope");
+    assert_eq!(envelope.code, "io");
+    assert!(envelope.message.len() <= spsel_serve::error::MAX_ERROR_MESSAGE);
+    assert!(replies[1].ok && replies[1].stats.is_some());
+
+    // The worker still serves new binary and JSON connections, and the
+    // JSON reply carries the same capped envelope.
+    let replies = binary_conversation(&[&Request::Stats]);
+    assert!(replies[0].ok && replies[0].stats.is_some());
+    let mut json = Client::connect(addr).expect("json connects");
+    assert_eq!(json.roundtrip(&request).unwrap().error, Some(envelope));
+    assert!(json.roundtrip(&Request::Stats).unwrap().stats.is_some());
+    shutdown_via(addr);
+    handle.join().unwrap();
+}
+
 /// A frame cut off by the peer closing its write side gets a typed
 /// `malformed` envelope, not silence and not a panic.
 #[test]

@@ -154,6 +154,24 @@ grep -q '"decision_assign_ns":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_label_ns":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_p50_us":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_p99_us":' "$SMOKE_DIR/r-stats.json"
+# One symmetric matrix written three ways — `real general` row-major with
+# LF, column-major with CRLF and comments, and `real symmetric` (lower
+# triangle) — must read to the same matrix: the daemon's JSON replies
+# for the three files are byte-identical.
+printf '%%%%MatrixMarket matrix coordinate real general\n4 4 10\n1 1 4.0\n1 2 1.0\n1 4 2.0\n2 1 1.0\n2 2 5.0\n3 3 6.0\n3 4 3.0\n4 1 2.0\n4 3 3.0\n4 4 7.0\n' \
+    > "$SMOKE_DIR/sym-rows.mtx"
+printf '%%%%MatrixMarket matrix coordinate real general\r\n%% column-major\r\n4 4 10\r\n1 1 4.0\r\n2 1 1.0\r\n4 1 2.0\r\n%% column 2\r\n1 2 1.0\r\n2 2 5.0\r\n3 3 6.0\r\n4 3 3.0\r\n1 4 2.0\r\n3 4 3.0\r\n4 4 7.0\r\n' \
+    > "$SMOKE_DIR/sym-cols.mtx"
+printf '%%%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n1 1 4.0\n2 1 1.0\n2 2 5.0\n3 3 6.0\n4 1 2.0\n4 3 3.0\n4 4 7.0\n' \
+    > "$SMOKE_DIR/sym-lower.mtx"
+for f in sym-rows sym-cols sym-lower; do
+    ./target/release/spsel request "$ADDR" \
+        "{\"Select\":{\"matrix\":\"$SMOKE_DIR/$f.mtx\",\"features\":null,\"gpu\":\"pascal\",\"iterations\":500,\"deadline_ms\":null,\"learn\":false}}" \
+        > "$SMOKE_DIR/r-$f.json"
+done
+grep -q '"ok":true' "$SMOKE_DIR/r-sym-rows.json"
+cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-cols.json"
+cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-lower.json"
 ./target/release/spsel request "$ADDR" '"Shutdown"' > "$SMOKE_DIR/r-shutdown.json"
 grep -q '"stopping":true' "$SMOKE_DIR/r-shutdown.json"
 wait "$SERVE_PID"
