@@ -11,7 +11,7 @@ use spsel_ml::gboost::{GradientBoosting, GradientBoostingParams};
 use spsel_ml::knn::KnnClassifier;
 use spsel_ml::logreg::LogisticRegression;
 use spsel_ml::svm::LinearSvm;
-use spsel_ml::tree::DecisionTree;
+use spsel_ml::tree::{DecisionTree, DecisionTreeParams};
 use spsel_ml::{Classifier, Dataset};
 
 /// Corpus-like training set: 1000 samples, 21 features, 4 unbalanced
@@ -115,5 +115,71 @@ fn bench_training_corpus_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_training_corpus_scale);
+/// A semi-supervised LR labeler's problem: the members of one cluster in
+/// the 8-dimensional PCA embedding, `rows` of them over 4 classes.
+fn cluster(rows: usize, seed: u64) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x = (0..rows)
+        .map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    Dataset::new(x, (0..rows).map(|i| i % 4).collect(), 4)
+}
+
+/// The fits the quick paper tables (4, 6 and 7) actually make: one
+/// cross-validation fold of the quick corpus, with the tree models at the
+/// tables' quick configuration, and the LR labeler on one cluster.
+fn bench_training_table_scale(c: &mut Criterion) {
+    let data = dataset(160, 5);
+    let members = cluster(12, 5);
+    let mut group = c.benchmark_group("train_fold_160x21");
+    group.sample_size(20);
+    group.bench_function("dt_depth6", |b| {
+        b.iter(|| {
+            let mut m = DecisionTree::new(DecisionTreeParams {
+                max_depth: Some(6),
+                seed: 5,
+                ..Default::default()
+            });
+            m.fit(&data);
+            m
+        })
+    });
+    group.bench_function("rf_20_depth6", |b| {
+        b.iter(|| {
+            let mut m = RandomForest::new(RandomForestParams {
+                n_estimators: 20,
+                max_depth: Some(6),
+                seed: 5,
+                ..Default::default()
+            });
+            m.fit(&data);
+            m
+        })
+    });
+    group.bench_function("xgboost_15r", |b| {
+        b.iter(|| {
+            let mut m = GradientBoosting::new(GradientBoostingParams {
+                n_rounds: 15,
+                ..Default::default()
+            });
+            m.fit(&data);
+            m
+        })
+    });
+    group.bench_function("logreg_cluster_12x8", |b| {
+        b.iter(|| {
+            let mut m = LogisticRegression::with_defaults();
+            m.fit(&members);
+            m
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_training,
+    bench_training_corpus_scale,
+    bench_training_table_scale
+);
 criterion_main!(benches);

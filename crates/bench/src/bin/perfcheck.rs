@@ -14,9 +14,8 @@
 //! produce bit-identical corpora and benchmark results.
 //!
 //! It then measures the training phase on the real corpus: per-model fit
-//! time, the presorted-vs-naive split-search speedup for the tree family,
-//! and a cold/warm demonstration of the per-table experiment cache (a
-//! warm Table 4 rerun must be served entirely from disk).
+//! time, and a cold/warm demonstration of the per-table experiment cache
+//! (a warm Table 4 rerun must be served entirely from disk).
 //!
 //! Finally it profiles the serving decision path: the single-pass
 //! `FeatureExtractor` against the legacy multi-pass `MatrixStats` walk,
@@ -140,14 +139,12 @@ fn main() {
         seed: 17,
         ..Default::default()
     };
-    let dt_naive_ms = time_ms(|| DecisionTree::new(dt_params.clone()).fit_naive(&data));
-    let dt_presorted_ms = time_ms(|| DecisionTree::new(dt_params.clone()).fit(&data));
+    let dt_fit_ms = time_ms(|| DecisionTree::new(dt_params.clone()).fit(&data));
     let gb_params = GradientBoostingParams {
         n_rounds: if h.opts.quick { 10 } else { 100 },
         ..Default::default()
     };
-    let gboost_naive_ms = time_ms(|| GradientBoosting::new(gb_params.clone()).fit_naive(&data));
-    let gboost_presorted_ms = time_ms(|| GradientBoosting::new(gb_params.clone()).fit(&data));
+    let gboost_fit_ms = time_ms(|| GradientBoosting::new(gb_params.clone()).fit(&data));
     let rf_fit_ms = time_ms(|| {
         RandomForest::new(RandomForestParams {
             n_estimators: if h.opts.quick { 20 } else { 100 },
@@ -160,32 +157,18 @@ fn main() {
     let knn_fit_ms = time_ms(|| KnnClassifier::new(5).fit(&data));
     let training = TrainingSummary {
         samples: data.len(),
-        dt_naive_ms,
-        dt_presorted_ms,
-        dt_split_speedup: dt_naive_ms / dt_presorted_ms,
-        gboost_naive_ms,
-        gboost_presorted_ms,
-        gboost_split_speedup: gboost_naive_ms / gboost_presorted_ms,
-        tree_family_speedup: (dt_naive_ms + gboost_naive_ms)
-            / (dt_presorted_ms + gboost_presorted_ms),
+        dt_fit_ms,
+        gboost_fit_ms,
         rf_fit_ms,
         knn_fit_ms,
     };
-    h.report.record("train_dt_naive", dt_naive_ms / 1e3);
-    h.report.record("train_dt_presorted", dt_presorted_ms / 1e3);
-    h.report.record("train_gboost_naive", gboost_naive_ms / 1e3);
-    h.report
-        .record("train_gboost_presorted", gboost_presorted_ms / 1e3);
+    h.report.record("train_dt", dt_fit_ms / 1e3);
+    h.report.record("train_gboost", gboost_fit_ms / 1e3);
     h.report.record("train_rf", rf_fit_ms / 1e3);
     h.report.record("train_knn", knn_fit_ms / 1e3);
     println!(
-        "split-search speedup (naive / presorted): dt {:.2}x, xgboost {:.2}x, \
-         tree family {:.2}x",
-        training.dt_split_speedup, training.gboost_split_speedup, training.tree_family_speedup
-    );
-    println!(
-        "fit time: dt {dt_presorted_ms:.0}ms, rf {rf_fit_ms:.0}ms, \
-         xgboost {gboost_presorted_ms:.0}ms, knn {knn_fit_ms:.0}ms"
+        "fit time: dt {dt_fit_ms:.0}ms, rf {rf_fit_ms:.0}ms, \
+         xgboost {gboost_fit_ms:.0}ms, knn {knn_fit_ms:.0}ms"
     );
 
     // 5. Experiment cache, cold vs warm: a Table 4 run stored once must
@@ -651,20 +634,12 @@ struct FeatureCost {
     share_ns: f64,
 }
 
-/// Fit times on the per-GPU corpus dataset, plus the naive-vs-presorted
-/// split-search comparison backing the tree-family speedup claim.
+/// Fit times on the per-GPU corpus dataset.
 #[derive(serde::Serialize)]
 struct TrainingSummary {
     samples: usize,
-    dt_naive_ms: f64,
-    dt_presorted_ms: f64,
-    dt_split_speedup: f64,
-    gboost_naive_ms: f64,
-    gboost_presorted_ms: f64,
-    gboost_split_speedup: f64,
-    /// Combined (dt + gboost) naive / presorted ratio — the headline
-    /// training-phase speedup.
-    tree_family_speedup: f64,
+    dt_fit_ms: f64,
+    gboost_fit_ms: f64,
     rf_fit_ms: f64,
     knn_fit_ms: f64,
 }

@@ -1,8 +1,13 @@
 //! Random forest: bagged CART trees with per-split feature subsampling.
 //!
 //! The paper's configuration (Section 5.1): 100 estimators, maximum depth 6.
+//!
+//! Every tree grows on the forest's one [`Presort`]: a bootstrap sample is
+//! the per-sample multiplicity of `n` draws, never a copied dataset, and
+//! the tree counts classes weighted by it (see [`crate::tree`] for why
+//! that grows exactly the tree the expanded sample would).
 
-use crate::tree::{DecisionTree, DecisionTreeParams};
+use crate::tree::{DecisionTree, DecisionTreeParams, Presort};
 use crate::{Classifier, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +67,13 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// The RNG of tree `t`: its bootstrap draws, then its tree seed.
+    fn tree_rng(&self, t: usize) -> StdRng {
+        StdRng::seed_from_u64(
+            self.params.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
+        )
+    }
+
     /// Per-class vote counts for one row.
     pub fn vote_counts(&self, x: &[f64]) -> Vec<usize> {
         let mut votes = vec![0usize; self.n_classes];
@@ -82,24 +94,23 @@ impl Classifier for RandomForest {
             .unwrap_or_else(|| (data.dim() as f64).sqrt().ceil() as usize)
             .max(1);
         let n = data.len();
-        let seed = self.params.seed;
-        let max_depth = self.params.max_depth;
+        let presort = Presort::new(&data.x);
         self.trees = (0..self.params.n_estimators)
             .into_par_iter()
             .map(|t| {
                 // Independent bootstrap per tree, derived deterministically.
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
-                );
-                let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let sample = data.subset(&bootstrap);
+                let mut rng = self.tree_rng(t);
+                let mut draws = vec![0usize; n];
+                for _ in 0..n {
+                    draws[rng.gen_range(0..n)] += 1;
+                }
                 let mut tree = DecisionTree::new(DecisionTreeParams {
-                    max_depth,
+                    max_depth: self.params.max_depth,
                     max_features: Some(max_features),
                     seed: rng.gen(),
                     ..Default::default()
                 });
-                tree.fit(&sample);
+                tree.fit_weighted(data, &presort, &draws);
                 tree
             })
             .collect();
@@ -128,7 +139,65 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata;
     use rand::Rng;
+
+    /// The forest as it was grown before the shared presort: each tree
+    /// copies its bootstrap sample with `data.subset` and fits the naive
+    /// CART on it, from the same per-tree RNG stream.
+    fn fit_by_subset(params: &RandomForestParams, data: &Dataset) -> RandomForest {
+        let mut rf = RandomForest::new(params.clone());
+        rf.n_classes = data.n_classes;
+        let max_features = params
+            .max_features
+            .unwrap_or_else(|| (data.dim() as f64).sqrt().ceil() as usize)
+            .max(1);
+        let n = data.len();
+        rf.trees = (0..params.n_estimators)
+            .map(|t| {
+                let mut rng = rf.tree_rng(t);
+                let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                let mut tree = DecisionTree::new(DecisionTreeParams {
+                    max_depth: params.max_depth,
+                    max_features: Some(max_features),
+                    seed: rng.gen(),
+                    ..Default::default()
+                });
+                tree.fit_naive(&data.subset(&bootstrap));
+                tree
+            })
+            .collect();
+        rf
+    }
+
+    #[test]
+    fn forest_identical_to_subset_oracle() {
+        let sets = [
+            ("tied", testdata::tied_dataset(120, 3, 5)),
+            ("rows13", testdata::tied_dataset(13, 2, 9)),
+            ("wide", testdata::random_dataset(200, 21, 4, 17)),
+        ];
+        for (name, data) in &sets {
+            for max_depth in [Some(6), None] {
+                for max_features in [None, Some(2)] {
+                    let params = RandomForestParams {
+                        n_estimators: 12,
+                        max_depth,
+                        max_features,
+                        seed: 31,
+                    };
+                    let mut rf = RandomForest::new(params.clone());
+                    rf.fit(data);
+                    let oracle = fit_by_subset(&params, data);
+                    assert_eq!(
+                        serde_json::to_string(&rf).unwrap(),
+                        serde_json::to_string(&oracle).unwrap(),
+                        "forest differs from its oracle on {name} with {params:?}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Two Gaussian-ish blobs, linearly separable.
     fn blobs(n: usize, seed: u64) -> Dataset {
@@ -197,6 +266,7 @@ mod tests {
         });
         a.fit(&data);
         b.fit(&data);
+        assert_eq!(a, b);
         assert_eq!(a.predict(&data.x), b.predict(&data.x));
     }
 

@@ -4,6 +4,7 @@
 //!
 //! The paper's configuration (Section 5.1): learning rate 0.1, 100 rounds.
 
+use crate::tree::{NodeRanges, Presort};
 use crate::{Classifier, Dataset};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -81,159 +82,73 @@ impl RegTree {
     }
 }
 
+/// One regression tree's fit on the split engine. The `gl`/`hl` prefix
+/// sums depend on summation order, so every node scans its samples in
+/// the presorted `(value, sample index)` order and sums its gradients in
+/// ascending sample order.
 struct TreeBuilder<'a> {
-    x: &'a [Vec<f64>],
+    presort: &'a Presort,
     grad: &'a [f64],
     hess: &'a [f64],
     params: &'a GradientBoostingParams,
+    ranges: NodeRanges,
     nodes: Vec<RegNode>,
 }
 
-impl<'a> TreeBuilder<'a> {
-    fn leaf_weight(&self, g: f64, h: f64) -> f64 {
-        -g / (h + self.params.lambda)
+impl TreeBuilder<'_> {
+    fn leaf(&mut self, g: f64, h: f64) -> usize {
+        let weight = leaf_weight(self.params, g, h);
+        self.nodes.push(RegNode::Leaf { weight });
+        self.nodes.len() - 1
     }
 
-    fn score(&self, g: f64, h: f64) -> f64 {
-        g * g / (h + self.params.lambda)
-    }
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let samples = self.ranges.samples(lo, hi);
+        let g_sum: f64 = samples.iter().map(|&i| self.grad[i as usize]).sum();
+        let h_sum: f64 = samples.iter().map(|&i| self.hess[i as usize]).sum();
 
-    /// Evaluate every candidate boundary of one feature, given this node's
-    /// samples in ascending `(value, sample index)` order. Shared by the
-    /// naive and presorted builders: because both present samples in
-    /// exactly this order, the sequential `gl`/`hl` accumulations — and
-    /// therefore every gain and threshold — are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_feature(
-        &self,
-        f: usize,
-        ordered: &[u32],
-        g_sum: f64,
-        h_sum: f64,
-        best: &mut Option<(usize, f64, f64)>,
-    ) {
-        let mut gl = 0.0;
-        let mut hl = 0.0;
-        for s in 1..ordered.len() {
-            let prev = ordered[s - 1] as usize;
-            gl += self.grad[prev];
-            hl += self.hess[prev];
-            let v_prev = self.x[prev][f];
-            let v_next = self.x[ordered[s] as usize][f];
-            if v_next <= v_prev {
-                continue;
-            }
-            let (gr, hr) = (g_sum - gl, h_sum - hl);
-            if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5 * (self.score(gl, hl) + self.score(gr, hr) - self.score(g_sum, h_sum))
-                - self.params.gamma;
-            if gain > best.map_or(0.0, |(_, _, bg)| bg) + 1e-12 {
-                *best = Some((f, v_prev + (v_next - v_prev) / 2.0, gain));
-            }
-        }
-    }
-
-    /// Naive builder (the pre-presort reference): re-sorts every feature at
-    /// every node. Tie order is canonicalized to `(value, sample index)` so
-    /// the floating-point accumulation order — and hence the grown tree —
-    /// matches the presorted builder exactly.
-    fn build_naive(&mut self, indices: &[u32], depth: usize) -> usize {
-        let g_sum: f64 = indices.iter().map(|&i| self.grad[i as usize]).sum();
-        let h_sum: f64 = indices.iter().map(|&i| self.hess[i as usize]).sum();
-
-        if depth >= self.params.max_depth || indices.len() < 2 {
-            let w = self.leaf_weight(g_sum, h_sum);
-            self.nodes.push(RegNode::Leaf { weight: w });
-            return self.nodes.len() - 1;
+        if depth >= self.params.max_depth || hi - lo < 2 {
+            return self.leaf(g_sum, h_sum);
         }
 
         // Exact greedy split search over all features.
-        let dim = self.x[0].len();
+        let parent = score(self.params, g_sum, h_sum);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        let mut ordered: Vec<u32> = Vec::with_capacity(indices.len());
-        for f in 0..dim {
-            ordered.clear();
-            ordered.extend_from_slice(indices);
-            ordered.sort_unstable_by(|&a, &b| {
-                self.x[a as usize][f]
-                    .total_cmp(&self.x[b as usize][f])
-                    .then(a.cmp(&b))
-            });
-            self.scan_feature(f, &ordered, g_sum, h_sum, &mut best);
-        }
-
-        let Some((feature, threshold, _)) = best else {
-            let w = self.leaf_weight(g_sum, h_sum);
-            self.nodes.push(RegNode::Leaf { weight: w });
-            return self.nodes.len() - 1;
-        };
-        let (left_idx, right_idx): (Vec<u32>, Vec<u32>) = indices
-            .iter()
-            .partition(|&&i| self.x[i as usize][feature] <= threshold);
-        let me = self.nodes.len();
-        self.nodes.push(RegNode::Leaf { weight: 0.0 }); // placeholder
-        let left = self.build_naive(&left_idx, depth + 1);
-        let right = self.build_naive(&right_idx, depth + 1);
-        self.nodes[me] = RegNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        me
-    }
-
-    /// Presorted builder: `cols[f]` holds this node's samples in ascending
-    /// `(feature f value, sample index)` order — presorted once per fit and
-    /// inherited through stable partitions, so no node ever sorts. Grows
-    /// trees bit-identical to [`TreeBuilder::build_naive`].
-    fn build_presorted(&mut self, indices: &[u32], cols: &[Vec<u32>], depth: usize) -> usize {
-        let g_sum: f64 = indices.iter().map(|&i| self.grad[i as usize]).sum();
-        let h_sum: f64 = indices.iter().map(|&i| self.hess[i as usize]).sum();
-
-        if depth >= self.params.max_depth || indices.len() < 2 {
-            let w = self.leaf_weight(g_sum, h_sum);
-            self.nodes.push(RegNode::Leaf { weight: w });
-            return self.nodes.len() - 1;
-        }
-
-        let dim = self.x[0].len();
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        for (f, col) in cols.iter().enumerate().take(dim) {
-            self.scan_feature(f, col, g_sum, h_sum, &mut best);
-        }
-
-        let Some((feature, threshold, _)) = best else {
-            let w = self.leaf_weight(g_sum, h_sum);
-            self.nodes.push(RegNode::Leaf { weight: w });
-            return self.nodes.len() - 1;
-        };
-        let goes_left = |i: u32| self.x[i as usize][feature] <= threshold;
-        let (left_idx, right_idx): (Vec<u32>, Vec<u32>) =
-            indices.iter().partition(|&&i| goes_left(i));
-        let (mut left_cols, mut right_cols) = (
-            Vec::with_capacity(cols.len()),
-            Vec::with_capacity(cols.len()),
-        );
-        for col in cols {
-            let mut l = Vec::with_capacity(left_idx.len());
-            let mut r = Vec::with_capacity(right_idx.len());
-            for &i in col {
-                if goes_left(i) {
-                    l.push(i);
-                } else {
-                    r.push(i);
+        for f in 0..self.presort.dim() {
+            let col = self.presort.column(f);
+            let order = self.ranges.feature(f, lo, hi);
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for s in 1..order.len() {
+                let prev = order[s - 1] as usize;
+                gl += self.grad[prev];
+                hl += self.hess[prev];
+                let v_prev = col[prev];
+                let v_next = col[order[s] as usize];
+                if v_next <= v_prev {
+                    continue;
+                }
+                let (gr, hr) = (g_sum - gl, h_sum - hl);
+                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                    continue;
+                }
+                let gain = 0.5 * (score(self.params, gl, hl) + score(self.params, gr, hr) - parent)
+                    - self.params.gamma;
+                if gain > best.map_or(0.0, |(_, _, bg)| bg) + 1e-12 {
+                    best = Some((f, v_prev + (v_next - v_prev) / 2.0, gain));
                 }
             }
-            left_cols.push(l);
-            right_cols.push(r);
         }
+
+        let Some((feature, threshold, _)) = best else {
+            return self.leaf(g_sum, h_sum);
+        };
+        let col = self.presort.column(feature);
+        let mid = self.ranges.split(lo, hi, |i| col[i] <= threshold);
         let me = self.nodes.len();
         self.nodes.push(RegNode::Leaf { weight: 0.0 }); // placeholder
-        let left = self.build_presorted(&left_idx, &left_cols, depth + 1);
-        let right = self.build_presorted(&right_idx, &right_cols, depth + 1);
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
         self.nodes[me] = RegNode::Split {
             feature,
             threshold,
@@ -242,6 +157,14 @@ impl<'a> TreeBuilder<'a> {
         };
         me
     }
+}
+
+fn leaf_weight(params: &GradientBoostingParams, g: f64, h: f64) -> f64 {
+    -g / (h + params.lambda)
+}
+
+fn score(params: &GradientBoostingParams, g: f64, h: f64) -> f64 {
+    g * g / (h + params.lambda)
 }
 
 /// XGBoost-style multiclass gradient boosting.
@@ -286,20 +209,9 @@ impl GradientBoosting {
         m
     }
 
-    /// Fit with the naive per-node re-sorting split search (the pre-presort
-    /// reference). Retained so tests can prove the presorted
-    /// [`Classifier::fit`] grows bit-identical boosters and so `perfcheck`
-    /// can measure the split-search speedup on real data.
-    #[doc(hidden)]
-    pub fn fit_naive(&mut self, data: &Dataset) {
-        self.fit_impl(data, None);
-    }
-
-    /// Boosting loop shared by [`Classifier::fit`] (presorted columns in
-    /// `cols`) and [`GradientBoosting::fit_naive`] (`cols: None`). The
-    /// feature matrix never changes across rounds, so one presort serves
-    /// every tree of every round.
-    fn fit_impl(&mut self, data: &Dataset, cols: Option<&[Vec<u32>]>) {
+    /// Boosting loop; `grow(grad, hess)` fits one regression tree to a
+    /// class's gradients and hessians.
+    fn boost(&mut self, data: &Dataset, grow: impl Fn(&[f64], &[f64]) -> RegTree + Sync) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         let (n, k) = (data.len(), data.n_classes);
         self.n_classes = k;
@@ -308,7 +220,6 @@ impl GradientBoosting {
 
         // Running margins F[i*k + c].
         let mut margins = vec![0.0f64; n * k];
-        let all_indices: Vec<u32> = (0..n as u32).collect();
 
         for _ in 0..self.params.n_rounds {
             // Softmax probabilities per sample.
@@ -340,20 +251,7 @@ impl GradientBoosting {
                             (p * (1.0 - p)).max(1e-16)
                         })
                         .collect();
-                    let mut builder = TreeBuilder {
-                        x: &data.x,
-                        grad: &grad,
-                        hess: &hess,
-                        params: &self.params,
-                        nodes: Vec::new(),
-                    };
-                    match cols {
-                        Some(cols) => builder.build_presorted(&all_indices, cols, 0),
-                        None => builder.build_naive(&all_indices, 0),
-                    };
-                    RegTree {
-                        nodes: builder.nodes,
-                    }
+                    grow(&grad, &hess)
                 })
                 .collect();
 
@@ -369,9 +267,24 @@ impl GradientBoosting {
 
 impl Classifier for GradientBoosting {
     fn fit(&mut self, data: &Dataset) {
-        assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        let cols = crate::tree::presort_columns(&data.x, data.dim());
-        self.fit_impl(data, Some(&cols));
+        // The features never change across rounds: one presort serves
+        // every tree of every round.
+        let presort = Presort::new(&data.x);
+        let params = self.params.clone();
+        self.boost(data, |grad, hess| {
+            let mut builder = TreeBuilder {
+                presort: &presort,
+                grad,
+                hess,
+                params: &params,
+                ranges: NodeRanges::new(&presort, |_| true),
+                nodes: Vec::new(),
+            };
+            builder.build(0, builder.ranges.len(), 0);
+            RegTree {
+                nodes: builder.nodes,
+            }
+        });
     }
 
     fn predict_one(&self, x: &[f64]) -> usize {
@@ -397,8 +310,155 @@ impl Classifier for GradientBoosting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The reference builder the engine replaced: re-sorts every feature
+    /// at every node, ties canonicalized to `(value, sample index)`.
+    struct NaiveBuilder<'a> {
+        x: &'a [Vec<f64>],
+        grad: &'a [f64],
+        hess: &'a [f64],
+        params: &'a GradientBoostingParams,
+        nodes: Vec<RegNode>,
+    }
+
+    impl NaiveBuilder<'_> {
+        fn scan_feature(
+            &self,
+            f: usize,
+            ordered: &[u32],
+            g_sum: f64,
+            h_sum: f64,
+            best: &mut Option<(usize, f64, f64)>,
+        ) {
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for s in 1..ordered.len() {
+                let prev = ordered[s - 1] as usize;
+                gl += self.grad[prev];
+                hl += self.hess[prev];
+                let v_prev = self.x[prev][f];
+                let v_next = self.x[ordered[s] as usize][f];
+                if v_next <= v_prev {
+                    continue;
+                }
+                let (gr, hr) = (g_sum - gl, h_sum - hl);
+                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                    continue;
+                }
+                let gain = 0.5
+                    * (score(self.params, gl, hl) + score(self.params, gr, hr)
+                        - score(self.params, g_sum, h_sum))
+                    - self.params.gamma;
+                if gain > best.map_or(0.0, |(_, _, bg)| bg) + 1e-12 {
+                    *best = Some((f, v_prev + (v_next - v_prev) / 2.0, gain));
+                }
+            }
+        }
+
+        fn build(&mut self, indices: &[u32], depth: usize) -> usize {
+            let g_sum: f64 = indices.iter().map(|&i| self.grad[i as usize]).sum();
+            let h_sum: f64 = indices.iter().map(|&i| self.hess[i as usize]).sum();
+
+            if depth >= self.params.max_depth || indices.len() < 2 {
+                let w = leaf_weight(self.params, g_sum, h_sum);
+                self.nodes.push(RegNode::Leaf { weight: w });
+                return self.nodes.len() - 1;
+            }
+
+            let dim = self.x[0].len();
+            let mut best: Option<(usize, f64, f64)> = None;
+            let mut ordered: Vec<u32> = Vec::with_capacity(indices.len());
+            for f in 0..dim {
+                ordered.clear();
+                ordered.extend_from_slice(indices);
+                ordered.sort_unstable_by(|&a, &b| {
+                    self.x[a as usize][f]
+                        .total_cmp(&self.x[b as usize][f])
+                        .then(a.cmp(&b))
+                });
+                self.scan_feature(f, &ordered, g_sum, h_sum, &mut best);
+            }
+
+            let Some((feature, threshold, _)) = best else {
+                let w = leaf_weight(self.params, g_sum, h_sum);
+                self.nodes.push(RegNode::Leaf { weight: w });
+                return self.nodes.len() - 1;
+            };
+            let (left_idx, right_idx): (Vec<u32>, Vec<u32>) = indices
+                .iter()
+                .partition(|&&i| self.x[i as usize][feature] <= threshold);
+            let me = self.nodes.len();
+            self.nodes.push(RegNode::Leaf { weight: 0.0 }); // placeholder
+            let left = self.build(&left_idx, depth + 1);
+            let right = self.build(&right_idx, depth + 1);
+            self.nodes[me] = RegNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            };
+            me
+        }
+    }
+
+    fn fit_naive(params: &GradientBoostingParams, data: &Dataset) -> GradientBoosting {
+        let mut gb = GradientBoosting::new(params.clone());
+        let all_indices: Vec<u32> = (0..data.len() as u32).collect();
+        gb.boost(data, |grad, hess| {
+            let mut builder = NaiveBuilder {
+                x: &data.x,
+                grad,
+                hess,
+                params,
+                nodes: Vec::new(),
+            };
+            builder.build(&all_indices, 0);
+            RegTree {
+                nodes: builder.nodes,
+            }
+        });
+        gb
+    }
+
+    /// The engine must grow boosters identical to the naive per-node
+    /// re-sorting search: equal under `PartialEq`, in predictions, and in
+    /// the serialized bytes, which also tell `-0.0` from `0.0`.
+    #[test]
+    fn presorted_gboost_identical_to_naive() {
+        for (name, data) in testdata::datasets() {
+            for params in [
+                GradientBoostingParams {
+                    n_rounds: 8,
+                    max_depth: 3,
+                    ..Default::default()
+                },
+                GradientBoostingParams {
+                    n_rounds: 4,
+                    max_depth: 6,
+                    min_child_weight: 2.0,
+                    ..Default::default()
+                },
+            ] {
+                let mut fast = GradientBoosting::new(params.clone());
+                fast.fit(&data);
+                let slow = fit_naive(&params, &data);
+                assert_eq!(fast, slow, "booster mismatch on {name} with {params:?}");
+                assert_eq!(
+                    serde_json::to_string(&fast).unwrap(),
+                    serde_json::to_string(&slow).unwrap(),
+                    "booster bytes differ on {name} with {params:?}"
+                );
+                assert_eq!(
+                    fast.predict(&data.x),
+                    slow.predict(&data.x),
+                    "prediction mismatch on {name}"
+                );
+            }
+        }
+    }
 
     fn fast_params(rounds: usize) -> GradientBoostingParams {
         GradientBoostingParams {

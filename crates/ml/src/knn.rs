@@ -90,6 +90,7 @@ impl Classifier for KnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata;
 
     fn simple() -> Dataset {
         Dataset::new(
@@ -151,5 +152,48 @@ mod tests {
     #[should_panic]
     fn zero_k_rejected() {
         KnnClassifier::new(0);
+    }
+
+    #[test]
+    fn knn_norm_expansion_matches_direct_distances() {
+        // Reference ranking: direct squared distances, same selection and
+        // tie-break logic as KnnClassifier::predict_one.
+        fn reference_predict(train: &Dataset, k: usize, q: &[f64]) -> usize {
+            let k = k.min(train.x.len());
+            let mut dists: Vec<(f64, usize)> = train
+                .x
+                .iter()
+                .zip(&train.y)
+                .map(|(xi, &yi)| (crate::sq_dist(q, xi), yi))
+                .collect();
+            dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
+            let neighbors = &mut dists[..k];
+            neighbors.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut votes = vec![0usize; train.n_classes];
+            for &(_, label) in neighbors.iter() {
+                votes[label] += 1;
+            }
+            let max_votes = *votes.iter().max().unwrap();
+            neighbors
+                .iter()
+                .find(|&&(_, label)| votes[label] == max_votes)
+                .map(|&(_, label)| label)
+                .unwrap()
+        }
+
+        for (name, data) in testdata::datasets() {
+            for k in [1, 3, 5] {
+                let mut knn = KnnClassifier::new(k);
+                knn.fit(&data);
+                let queries = testdata::random_dataset(40, data.dim(), 2, 77 + k as u64);
+                for q in &queries.x {
+                    assert_eq!(
+                        knn.predict_one(q),
+                        reference_predict(&data, k, q),
+                        "knn mismatch on {name} k={k}"
+                    );
+                }
+            }
+        }
     }
 }

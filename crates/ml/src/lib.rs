@@ -30,6 +30,8 @@ pub mod logreg;
 pub mod metrics;
 pub mod ridge;
 pub mod svm;
+#[cfg(test)]
+mod testdata;
 pub mod tree;
 
 pub use classifier::Classifier;

@@ -400,6 +400,15 @@ for t in table4 table6 table7; do
     cmp "baselines/$t.txt" "$SMOKE_DIR/$t.txt"
     cmp "baselines/$t.json" "$SMOKE_DIR/$t.json"
 done
+# ...and again with one worker thread, the way the benchmark runs them:
+# the parallel fits (forest trees, booster class trees, CV folds) must
+# not depend on the worker count.
+for t in table4 table6 table7; do
+    SPSEL_THREADS=1 ./target/release/"$t" --quick --no-cache \
+        --json "$SMOKE_DIR/$t-1t.json" > "$SMOKE_DIR/$t-1t.txt" 2>/dev/null
+    cmp "baselines/$t.txt" "$SMOKE_DIR/$t-1t.txt"
+    cmp "baselines/$t.json" "$SMOKE_DIR/$t-1t.json"
+done
 
 echo "==> format-zoo smoke (extended registry, nonzero disagreement table)"
 # The extended registry must label all three workloads and find real

@@ -85,42 +85,52 @@ fn cross_validation_is_bit_identical_at_any_worker_count() {
     let features = ctx.features(&ds);
     let results = ctx.results(Gpu::Turing, &ds).expect("feasible dataset");
 
-    // One fold-parallel supervised CV and one semi-supervised CV: every
-    // fold derives its work from the shared seed alone, so the per-fold
-    // qualities and their average must not depend on the worker count.
-    let run = || {
-        let sup = local_supervised(
-            &features,
-            None,
-            &results,
-            SupervisedConfig::quick(SupervisedModel::Rf, 5),
-            3,
-            5,
-        )
-        .expect("supervised CV fits");
-        let semi = local_semi(
-            &features,
-            &results,
-            SemiConfig::new(ClusterMethod::KMeans { nc: 8 }, Labeler::Vote, 5),
-            3,
-            5,
-        );
-        (sup, semi)
+    // Fold-parallel supervised CVs (RF bags its trees and XGBoost builds
+    // its class trees in parallel) and semi-supervised CVs (the LR and RF
+    // labelers fit inside the clusters): every fold derives its work from
+    // the shared seed alone, so the per-fold qualities and their average
+    // must not depend on the worker count. Four clusters keep them large
+    // and mixed enough that the labelers fit models rather than vote.
+    let run = || -> Vec<(&str, SelectionQuality)> {
+        let sup = |model| {
+            local_supervised(
+                &features,
+                None,
+                &results,
+                SupervisedConfig::quick(model, 5),
+                3,
+                5,
+            )
+            .expect("supervised CV fits")
+        };
+        let semi = |nc, labeler| {
+            local_semi(
+                &features,
+                &results,
+                SemiConfig::new(ClusterMethod::KMeans { nc }, labeler, 5),
+                3,
+                5,
+            )
+        };
+        vec![
+            ("supervised RF", sup(SupervisedModel::Rf)),
+            ("supervised XGBoost", sup(SupervisedModel::Xgb)),
+            ("semi-supervised Vote", semi(8, Labeler::Vote)),
+            ("semi-supervised LR", semi(4, Labeler::LogisticRegression)),
+            ("semi-supervised RF", semi(4, Labeler::RandomForest)),
+        ]
     };
 
     rayon::set_threads(Some(1));
-    let (base_sup, base_semi) = run();
+    let base = run();
     for workers in [2, 4, 8] {
         rayon::set_threads(Some(workers));
-        let (sup, semi) = run();
-        assert!(
-            same_quality(&sup, &base_sup),
-            "{workers} workers: supervised CV diverged ({sup:?} vs {base_sup:?})"
-        );
-        assert!(
-            same_quality(&semi, &base_semi),
-            "{workers} workers: semi-supervised CV diverged ({semi:?} vs {base_semi:?})"
-        );
+        for ((name, q), (_, base_q)) in run().iter().zip(&base) {
+            assert!(
+                same_quality(q, base_q),
+                "{workers} workers: {name} CV diverged ({q:?} vs {base_q:?})"
+            );
+        }
     }
     rayon::set_threads(None);
 }
