@@ -1,7 +1,9 @@
 //! Criterion bench for the Matrix Market reader: entries per second for
 //! `general`, `symmetric` and `pattern` files, each written row-major
 //! (what `io::write_matrix_market` emits, so the reader can skip its
-//! sort) and column-major (which forces the sort).
+//! sort) and column-major (which forces the sort). Each file is read
+//! twice: with values (`read_matrix_market`) and structure-only
+//! (`read_matrix_market_structure`, the selection path's reader).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use spsel_matrix::{gen, io, CooMatrix, SpMv};
@@ -58,9 +60,13 @@ fn bench_matrix_market(c: &mut Criterion) {
         for col_major in [false, true] {
             let (text, entries) = render(matrix, header, col_major);
             let order = if col_major { "col_major" } else { "row_major" };
+            let name = format!("{}/{order}", header.replace(' ', "_"));
             group.throughput(Throughput::Elements(entries as u64));
-            group.bench_function(format!("{}/{order}", header.replace(' ', "_")), |b| {
+            group.bench_function(name.as_str(), |b| {
                 b.iter(|| io::read_matrix_market(text.as_slice()).expect("valid file"))
+            });
+            group.bench_function(format!("{name}/structure"), |b| {
+                b.iter(|| io::read_matrix_market_structure(text.as_slice()).expect("valid file"))
             });
         }
     }

@@ -22,8 +22,9 @@ use spsel_core::CoreError;
 use spsel_features::{FeatureVector, MatrixStats};
 use spsel_gpusim::cost::ConversionCostModel;
 use spsel_gpusim::{FaultConfig, Gpu, TrialPolicy};
-use spsel_matrix::{io, CsrMatrix, Format, SpMv};
+use spsel_matrix::{Format, SpMv};
 use spsel_serve::artifact::{self, TrainConfig};
+use spsel_serve::engine::read_matrix_structure;
 use spsel_serve::protocol::SelectBody;
 use spsel_serve::{Engine, EngineOptions, ServeError};
 
@@ -103,11 +104,7 @@ fn run(args: &[String]) -> Result<(), ServeError> {
         ))
     })?;
 
-    let coo = io::read_matrix_market_file(&path).map_err(|e| ServeError::Io {
-        path: path.clone(),
-        message: e.to_string(),
-    })?;
-    let csr = CsrMatrix::from(&coo);
+    let csr = read_matrix_structure(&path)?;
     let stats = MatrixStats::from_csr(&csr);
     let fv = FeatureVector::from_stats(&stats);
     println!(

@@ -57,8 +57,15 @@ impl CooMatrix {
     ///
     /// Arrays that already arrive strictly row-major (what
     /// [`crate::io::write_matrix_market`] emits) are taken as they are.
-    /// Otherwise entries are sorted by the packed key `row << 32 | col`,
-    /// and the smallest repeated position is reported as a duplicate.
+    /// Otherwise a stable pass buckets the entries by row in
+    /// O(nnz + nrows), and each row whose columns are then out of order
+    /// is sorted in place. Once duplicates are rejected every `(row, col)`
+    /// is unique, so this is exactly the order a key sort gives. The
+    /// smallest repeated position is reported as a duplicate.
+    ///
+    /// A shape with more rows than entries is sorted by the packed key
+    /// `row << 32 | col` instead, so that the extra memory stays O(nnz)
+    /// whatever shape a file declares.
     pub(crate) fn from_unsorted_parts(
         nrows: usize,
         ncols: usize,
@@ -66,29 +73,15 @@ impl CooMatrix {
         mut cols: Vec<u32>,
         mut vals: Vec<f64>,
     ) -> Result<Self> {
-        let key = |r: u32, c: u32| (r as u64) << 32 | c as u64;
         let sorted = rows
             .windows(2)
             .zip(cols.windows(2))
-            .all(|(r, c)| key(r[0], c[0]) < key(r[1], c[1]));
+            .all(|(r, c)| packed_key(r[0], c[0]) < packed_key(r[1], c[1]));
         if !sorted {
-            let mut entries: Vec<(u64, f64)> = rows
-                .iter()
-                .zip(&cols)
-                .zip(&vals)
-                .map(|((&r, &c), &v)| (key(r, c), v))
-                .collect();
-            entries.sort_unstable_by_key(|e| e.0);
-            if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(MatrixError::DuplicateEntry {
-                    row: (w[0].0 >> 32) as usize,
-                    col: (w[0].0 as u32) as usize,
-                });
-            }
-            for (i, &(k, v)) in entries.iter().enumerate() {
-                rows[i] = (k >> 32) as u32;
-                cols[i] = k as u32;
-                vals[i] = v;
+            if nrows <= rows.len() {
+                sort_by_row_buckets(nrows, &mut rows, &mut cols, &mut vals)?;
+            } else {
+                sort_by_packed_key(&mut rows, &mut cols, &mut vals)?;
             }
         }
         Ok(Self::from_sorted_parts(nrows, ncols, rows, cols, vals))
@@ -184,6 +177,93 @@ impl CooMatrix {
         CooMatrix::from_triplets(self.ncols, self.nrows, &triplets)
             .expect("transpose preserves validity")
     }
+}
+
+fn packed_key(r: u32, c: u32) -> u64 {
+    (r as u64) << 32 | c as u64
+}
+
+/// Sort entries row-major by the packed key `row << 32 | col`; report the
+/// smallest repeated position.
+fn sort_by_packed_key(rows: &mut [u32], cols: &mut [u32], vals: &mut [f64]) -> Result<()> {
+    let mut entries: Vec<(u64, f64)> = rows
+        .iter()
+        .zip(cols.iter())
+        .zip(vals.iter())
+        .map(|((&r, &c), &v)| (packed_key(r, c), v))
+        .collect();
+    entries.sort_unstable_by_key(|e| e.0);
+    if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(MatrixError::DuplicateEntry {
+            row: (w[0].0 >> 32) as usize,
+            col: (w[0].0 as u32) as usize,
+        });
+    }
+    for (i, &(k, v)) in entries.iter().enumerate() {
+        rows[i] = (k >> 32) as u32;
+        cols[i] = k as u32;
+        vals[i] = v;
+    }
+    Ok(())
+}
+
+/// Sort entries row-major: a stable bucket pass by row, then an in-place
+/// sort of each row whose columns are out of order. Rows are visited in
+/// order, so the first repeated column found is the smallest repeated
+/// position. Extra memory is the `nrows + 1` offsets, one copy of the
+/// columns and values, and the longest unsorted row.
+fn sort_by_row_buckets(
+    nrows: usize,
+    rows: &mut [u32],
+    cols: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+) -> Result<()> {
+    // `next[r]` starts as row r's first slot and ends as its last + 1.
+    let mut next = vec![0usize; nrows + 1];
+    for &r in rows.iter() {
+        next[r as usize + 1] += 1;
+    }
+    for r in 0..nrows {
+        next[r + 1] += next[r];
+    }
+    let mut bucket_cols = vec![0u32; cols.len()];
+    let mut bucket_vals = vec![0.0f64; vals.len()];
+    for ((&r, &c), &v) in rows.iter().zip(cols.iter()).zip(vals.iter()) {
+        let slot = &mut next[r as usize];
+        bucket_cols[*slot] = c;
+        bucket_vals[*slot] = v;
+        *slot += 1;
+    }
+    let mut row_entries: Vec<(u32, f64)> = Vec::new();
+    let mut start = 0;
+    for (r, &end) in next[..nrows].iter().enumerate() {
+        rows[start..end].fill(r as u32);
+        let row_cols = &mut bucket_cols[start..end];
+        if row_cols.windows(2).any(|w| w[0] >= w[1]) {
+            let row_vals = &mut bucket_vals[start..end];
+            row_entries.clear();
+            row_entries.extend(row_cols.iter().copied().zip(row_vals.iter().copied()));
+            row_entries.sort_unstable_by_key(|e| e.0);
+            if let Some(w) = row_entries.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(MatrixError::DuplicateEntry {
+                    row: r,
+                    col: w[0].0 as usize,
+                });
+            }
+            for ((c, v), &(sc, sv)) in row_cols
+                .iter_mut()
+                .zip(row_vals.iter_mut())
+                .zip(&row_entries)
+            {
+                *c = sc;
+                *v = sv;
+            }
+        }
+        start = end;
+    }
+    *cols = bucket_cols;
+    *vals = bucket_vals;
+    Ok(())
 }
 
 impl SpMv for CooMatrix {
@@ -340,5 +420,106 @@ mod tests {
     #[test]
     fn memory_accounting() {
         assert_eq!(sample().memory_bytes(), 4 * 16);
+    }
+
+    /// The sort `from_triplets` used before the row-bucket pass: bounds in
+    /// input order, then one sort by the packed key `row << 32 | col` and
+    /// the first repeated key in sorted order.
+    fn packed_key_oracle(
+        nrows: usize,
+        ncols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Result<CooMatrix> {
+        if let Some(&(row, col, _)) = triplets.iter().find(|t| t.0 >= nrows || t.1 >= ncols) {
+            return Err(MatrixError::IndexOutOfBounds {
+                row,
+                col,
+                nrows,
+                ncols,
+            });
+        }
+        let mut entries: Vec<(u64, f64)> = triplets
+            .iter()
+            .map(|&(r, c, v)| ((r as u64) << 32 | c as u64, v))
+            .collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(MatrixError::DuplicateEntry {
+                row: (w[0].0 >> 32) as usize,
+                col: (w[0].0 as u32) as usize,
+            });
+        }
+        Ok(CooMatrix::from_sorted_parts(
+            nrows,
+            ncols,
+            entries.iter().map(|e| (e.0 >> 32) as u32).collect(),
+            entries.iter().map(|e| e.0 as u32).collect(),
+            entries.iter().map(|e| e.1).collect(),
+        ))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        /// Shuffled, column-major, row-major and reversed triplets, rows
+        /// whose columns alone are out of order, empty rows, duplicates,
+        /// and shapes with far more rows than entries (the key-sort side
+        /// of the memory bound) all give the oracle's matrix, value bits
+        /// included, or its error.
+        #[test]
+        fn from_triplets_matches_a_packed_key_sort(shape in 0u32..4, order in 0u32..5, seed in 0u64..1 << 40) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (nrows, ncols, density) = match shape {
+                0 => (rng.gen_range(1..30usize), rng.gen_range(1..30usize), 0.4),
+                1 => (rng.gen_range(1..8usize), rng.gen_range(40..200usize), 0.5),
+                2 => (rng.gen_range(50..400usize), rng.gen_range(1..6usize), 0.6),
+                _ => (rng.gen_range(500..5000usize), rng.gen_range(1..50usize), 0.0005),
+            };
+            let mut triplets = Vec::new();
+            for r in 0..nrows {
+                // Every fourth row or so stays empty.
+                if rng.gen_bool(0.25) {
+                    continue;
+                }
+                for c in 0..ncols {
+                    if rng.gen_bool(density) {
+                        let v = if rng.gen_bool(0.1) { -0.0 } else { rng.gen_range(-4.0..4.0) };
+                        triplets.push((r, c, v));
+                    }
+                }
+            }
+            match order {
+                0 => {}
+                1 => triplets.sort_by_key(|&(r, c, _)| (c, r)),
+                2 => triplets.shuffle(&mut rng),
+                3 => triplets.reverse(),
+                _ => {
+                    // Rows in order, columns shuffled within each row.
+                    let mut start = 0;
+                    while start < triplets.len() {
+                        let row = triplets[start].0;
+                        let len = triplets[start..].iter().take_while(|t| t.0 == row).count();
+                        triplets[start..start + len].shuffle(&mut rng);
+                        start += len;
+                    }
+                }
+            }
+            if rng.gen_bool(0.15) && !triplets.is_empty() {
+                for _ in 0..rng.gen_range(1..3usize) {
+                    let (r, c, _) = triplets[rng.gen_range(0..triplets.len())];
+                    let at = rng.gen_range(0..=triplets.len());
+                    triplets.insert(at, (r, c, rng.gen_range(-4.0..4.0)));
+                }
+            }
+            let got = CooMatrix::from_triplets(nrows, ncols, &triplets);
+            let want = packed_key_oracle(nrows, ncols, &triplets);
+            let bits = |m: &CooMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => assert!(g == w && bits(g) == bits(w), "{triplets:?}"),
+                _ => assert_eq!(got, want, "{triplets:?}"),
+            }
+        }
     }
 }

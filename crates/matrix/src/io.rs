@@ -26,6 +26,13 @@
 //! * **Mirrored entries.** The entry a `symmetric` / `skew-symmetric`
 //!   file implies across the diagonal is bounds-checked like a stored
 //!   one, which matters on non-square shapes.
+//!
+//! The same reader has a structure-only entry point,
+//! [`read_matrix_market_structure`], for callers that need only the
+//! sparsity pattern, such as format selection: every Table 1 feature is
+//! a property of the pattern. It validates each value without converting
+//! it and gives the same positions, or the same error, with every value
+//! 1.0.
 
 use crate::{CooMatrix, MatrixError, Result};
 use std::io::{Read, Write};
@@ -125,10 +132,13 @@ impl<'a> Lines<'a> {
         };
         self.number += 1;
         // Skip whatever the line holds past its last needed field.
-        self.pos = bytes[end..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(bytes.len(), |i| end + i + 1);
+        self.pos = match bytes.get(end) {
+            Some(b'\n') => end + 1,
+            _ => bytes[end..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| end + i + 1),
+        };
         Ok(Some(line))
     }
 }
@@ -137,9 +147,10 @@ impl<'a> Lines<'a> {
 enum EntryLine<'a> {
     /// A blank line or a comment.
     Skip,
-    /// Row and column as written (1-based), and the value field unless
-    /// the file is `pattern`.
-    Fast(usize, usize, Option<&'a str>),
+    /// Row and column as written (1-based), the value field unless the
+    /// file is `pattern`, and whether the scan already proved the value
+    /// finite (see [`proves_finite`]).
+    Fast(usize, usize, Option<&'a str>, bool),
     /// Any other line, for the general path.
     Other(&'a str),
 }
@@ -157,30 +168,47 @@ fn skip_blanks(bytes: &[u8], mut i: usize) -> usize {
     i
 }
 
+/// Skip the whitespace between two fields: a single space without a
+/// loop, anything else through [`skip_blanks`].
+fn skip_separator(bytes: &[u8], i: usize) -> usize {
+    if bytes.get(i) == Some(&b' ') && bytes.get(i + 1).is_some_and(|&b| b > b' ') {
+        i + 1
+    } else {
+        skip_blanks(bytes, i)
+    }
+}
+
+/// Digits an index field may have on the fast path: 10^19 - 1 fits a
+/// `u64`, so they are read without checked arithmetic. A longer field
+/// goes to the general path, which keeps the overflow error.
+const FAST_INDEX_DIGITS: usize = 19;
+
 /// An index field of plain digits (after at most one `+`) that ends at
 /// whitespace or the end of input, read straight from its digits.
-/// `None` for anything else, overflow included.
+/// `None` for anything else, a field past [`FAST_INDEX_DIGITS`] included.
 fn scan_index(bytes: &[u8], mut i: usize) -> Option<(usize, usize)> {
     if bytes.get(i) == Some(&b'+') {
         i += 1;
     }
     let start = i;
-    let mut n = 0usize;
-    while let Some(&b) = bytes.get(i) {
-        let d = b.wrapping_sub(b'0');
+    let limit = bytes.len().min(start + FAST_INDEX_DIGITS);
+    let mut n = 0u64;
+    while i < limit {
+        let d = bytes[i].wrapping_sub(b'0');
         if d > 9 {
             break;
         }
-        n = n.checked_mul(10)?.checked_add(d as usize)?;
+        n = n * 10 + d as u64;
         i += 1;
     }
     let ends_field = bytes.get(i).is_none_or(|&b| is_space(b));
-    (i > start && ends_field).then_some((n, i))
+    (i > start && ends_field).then_some((usize::try_from(n).ok()?, i))
 }
 
 /// Scan the entry line starting at byte `i` if it has the common shape:
 /// ASCII whitespace between fields, indices of plain digits, and (unless
-/// `pattern`) an all-ASCII value field. Returns the line and the position
+/// `pattern`) a value field of printable ASCII, checked by
+/// [`proves_finite`] in the same pass. Returns the line and the position
 /// after its last needed field, or `None` to send the line to the
 /// general path. On the lines it accepts, this yields exactly the fields
 /// `str::split_whitespace` and `usize::from_str` would.
@@ -192,22 +220,24 @@ fn scan_entry(text: &str, i: usize, pattern: bool) -> Option<(EntryLine<'_>, usi
         _ => {}
     }
     let (r, i) = scan_index(bytes, i)?;
-    let (c, i) = scan_index(bytes, skip_blanks(bytes, i))?;
+    let (c, i) = scan_index(bytes, skip_separator(bytes, i))?;
     if pattern {
-        return Some((EntryLine::Fast(r, c, None), i));
+        return Some((EntryLine::Fast(r, c, None, false), i));
     }
-    let start = skip_blanks(bytes, i);
+    let start = skip_separator(bytes, i);
+    let ends_field = |end: usize| bytes.get(end).is_none_or(|&b| is_space(b));
+    // One pass over the common value both finds its end and proves it
+    // finite.
+    if let Some(end) = finite_float_end(bytes, start).filter(|&end| ends_field(end)) {
+        return Some((EntryLine::Fast(r, c, Some(&text[start..end]), true), end));
+    }
     let mut end = start;
-    while let Some(&b) = bytes.get(end) {
-        if !b.is_ascii() {
-            return None;
-        }
-        if is_space(b) {
-            break;
-        }
+    while bytes.get(end).is_some_and(|&b| b > b' ' && b < 0x7f) {
         end += 1;
     }
-    (end > start).then(|| (EntryLine::Fast(r, c, Some(&text[start..end])), end))
+    // A control byte, DEL or non-ASCII byte in the field: general path.
+    (end > start && ends_field(end))
+        .then(|| (EntryLine::Fast(r, c, Some(&text[start..end]), false), end))
 }
 
 /// A 1-based index field, parsed as `usize::from_str` parses it.
@@ -219,7 +249,88 @@ fn parse_index(field: Option<&str>, line: usize) -> Result<usize> {
 }
 
 /// Read a Matrix Market file from any reader.
-pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
+pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
+    read_coordinate(reader, true)
+}
+
+/// Read a Matrix Market file from disk.
+pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<CooMatrix> {
+    read_matrix_market(std::fs::File::open(path)?)
+}
+
+/// Read only the sparsity structure of a Matrix Market file: the matrix
+/// [`read_matrix_market`] gives with every stored value 1.0, as in a
+/// `pattern` file, or exactly the error it gives. Values are validated
+/// but not converted: a field [`proves_finite`] accepts is known to parse
+/// as a finite `f64`, and any other field goes to `str::parse::<f64>`
+/// and the non-finite check, as in the value-keeping reader.
+pub fn read_matrix_market_structure<R: Read>(reader: R) -> Result<CooMatrix> {
+    read_coordinate(reader, false)
+}
+
+/// Read the sparsity structure of a Matrix Market file from disk (see
+/// [`read_matrix_market_structure`]).
+pub fn read_matrix_market_structure_file<P: AsRef<Path>>(path: P) -> Result<CooMatrix> {
+    read_matrix_market_structure(std::fs::File::open(path)?)
+}
+
+/// Whether the bytes of a value field alone prove that `str::parse::<f64>`
+/// reads it as a finite number. The field must match the float grammar
+/// without `inf` or `nan`: an optional sign, digits with at most one
+/// `.` and at least one digit, then optionally `e` or `E`, an optional
+/// sign and digits. It may have at most 20 digits before the point and
+/// an exponent of magnitude at most 280, so its value is below
+/// 10^20 · 10^280 = 10^300, under `f64::MAX`. Leading zeros in the
+/// exponent are allowed, as std allows them. `false` proves nothing.
+pub fn proves_finite(field: &[u8]) -> bool {
+    finite_float_end(field, 0) == Some(field.len())
+}
+
+/// The end of the longest float [`proves_finite`] accepts that starts at
+/// byte `i`, or `None` if none does. The float is the whole field only if
+/// it ends there.
+fn finite_float_end(bytes: &[u8], i: usize) -> Option<usize> {
+    let digits_from = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let after_sign = |i: usize| i + usize::from(matches!(bytes.get(i), Some(b'+' | b'-')));
+    let int_start = after_sign(i);
+    let mut i = digits_from(int_start);
+    let int_digits = i - int_start;
+    let mut frac_digits = 0;
+    if bytes.get(i) == Some(&b'.') {
+        let frac_end = digits_from(i + 1);
+        frac_digits = frac_end - (i + 1);
+        i = frac_end;
+    }
+    if int_digits + frac_digits == 0 || int_digits > 20 {
+        return None;
+    }
+    if !matches!(bytes.get(i), Some(b'e' | b'E')) {
+        return Some(i);
+    }
+    let exp_start = after_sign(i + 1);
+    i = exp_start;
+    let mut exp = 0u32;
+    while let Some(d) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+        exp = exp * 10 + u32::from(d - b'0');
+        if exp > 280 {
+            return None;
+        }
+        i += 1;
+    }
+    (i > exp_start).then_some(i)
+}
+
+/// The one reader behind both entry points. With `keep_values`, every
+/// value is converted; without, entries read 1.0 and a value field is
+/// converted only when [`proves_finite`] cannot vouch for it (the entry
+/// scanner applies the same check as it finds the field's end; the
+/// value-keeping reader ignores the verdict).
+fn read_coordinate<R: Read>(mut reader: R, keep_values: bool) -> Result<CooMatrix> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
     let mut lines = Lines::new(&bytes);
@@ -317,7 +428,7 @@ pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
     let capacity = declared_nnz.min(PREALLOC_CAP);
     let mut rows: Vec<u32> = Vec::with_capacity(capacity);
     let mut cols: Vec<u32> = Vec::with_capacity(capacity);
-    let mut vals: Vec<f64> = Vec::with_capacity(capacity);
+    let mut vals: Vec<f64> = Vec::with_capacity(if keep_values { capacity } else { 0 });
     // The first out-of-bounds entry is remembered rather than raised, so
     // a parse error or count mismatch later in the file still wins.
     let mut out_of_bounds = None;
@@ -327,15 +438,17 @@ pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
         }
         rows.push(r as u32);
         cols.push(c as u32);
-        vals.push(v);
+        if keep_values {
+            vals.push(v);
+        }
     };
     let pattern = kind == ValueKind::Pattern;
     let mut seen = 0usize;
     while let Some(line) = lines.next_entry(pattern)? {
         let lineno = lines.number;
-        let (r, c, value) = match line {
+        let (r, c, value, proven) = match line {
             EntryLine::Skip => continue,
-            EntryLine::Fast(r, c, value) => (r, c, value),
+            EntryLine::Fast(r, c, value, proven) => (r, c, value, proven),
             EntryLine::Other(line) => {
                 let t = line.trim();
                 if t.is_empty() || t.starts_with('%') {
@@ -344,7 +457,13 @@ pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
                 let mut fields = t.split_whitespace();
                 let r = parse_index(fields.next(), lineno)?;
                 let c = parse_index(fields.next(), lineno)?;
-                (r, c, fields.next())
+                let value = fields.next();
+                (
+                    r,
+                    c,
+                    value,
+                    value.is_some_and(|f| proves_finite(f.as_bytes())),
+                )
             }
         };
         if r == 0 || c == 0 {
@@ -352,14 +471,21 @@ pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
         }
         let v = match kind {
             ValueKind::Pattern => 1.0,
-            _ => value
-                .ok_or_else(|| parse_error(lineno, "missing value"))?
-                .parse::<f64>()
-                .map_err(|e| parse_error(lineno, format!("bad value: {e}")))?,
+            _ => {
+                let field = value.ok_or_else(|| parse_error(lineno, "missing value"))?;
+                if keep_values || !proven {
+                    let v = field
+                        .parse::<f64>()
+                        .map_err(|e| parse_error(lineno, format!("bad value: {e}")))?;
+                    if !v.is_finite() {
+                        return Err(parse_error(lineno, format!("non-finite value `{v}`")));
+                    }
+                    v
+                } else {
+                    1.0
+                }
+            }
         };
-        if !v.is_finite() {
-            return Err(parse_error(lineno, format!("non-finite value `{v}`")));
-        }
         let (r, c) = (r - 1, c - 1);
         push(r, c, v);
         if r != c {
@@ -385,12 +511,10 @@ pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
             ncols,
         });
     }
+    if !keep_values {
+        vals = vec![1.0; rows.len()];
+    }
     CooMatrix::from_unsorted_parts(nrows, ncols, rows, cols, vals)
-}
-
-/// Read a Matrix Market file from disk.
-pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<CooMatrix> {
-    read_matrix_market(std::fs::File::open(path)?)
 }
 
 /// Write a matrix as `matrix coordinate real general`.

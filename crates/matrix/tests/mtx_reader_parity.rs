@@ -7,7 +7,9 @@
 //! oracle. Its one change is the
 //! `u32` dimension check both readers now make. For every input the
 //! one-pass reader must give the same matrix (value bits included) or
-//! the same error (variant, message, line).
+//! the same error (variant, message, line), and the structure reader
+//! `io::read_matrix_market_structure` the same positions with every
+//! value 1.0, or the same error.
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng, StdRng};
@@ -245,14 +247,16 @@ enum Agreement {
     SameError,
 }
 
-/// Run both readers on `bytes`; panic with the input on any difference.
+/// Run the three readers on `bytes`; panic with the input on any
+/// difference.
 fn check(bytes: &[u8]) -> Agreement {
     let want = reference(bytes);
     let got = io::read_matrix_market(bytes);
+    let structure = io::read_matrix_market_structure(bytes);
     let input = || String::from_utf8_lossy(bytes).into_owned();
-    match (&want, &got) {
+    let bits = |m: &CooMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let agreement = match (&want, &got) {
         (Ok(w), Ok(g)) => {
-            let bits = |m: &CooMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert!(
                 w == g && bits(w) == bits(g),
                 "matrices differ on {:?}:\nreference {w:?}\none-pass  {g:?}",
@@ -268,7 +272,26 @@ fn check(bytes: &[u8]) -> Agreement {
             "readers disagree on {:?}:\nreference {want:?}\none-pass  {got:?}",
             input()
         ),
+    };
+    match (&want, &structure) {
+        (Ok(w), Ok(s)) => {
+            let ones = vec![1f64.to_bits(); w.nnz()];
+            assert!(
+                (w.nrows(), w.ncols()) == (s.nrows(), s.ncols())
+                    && w.row_indices() == s.row_indices()
+                    && w.col_indices() == s.col_indices()
+                    && bits(s) == ones,
+                "structure differs on {:?}:\nreference {w:?}\nstructure {s:?}",
+                input()
+            );
+        }
+        (Err(w), Err(s)) => assert_eq!(w, s, "structure error differs on {:?}", input()),
+        _ => panic!(
+            "structure reader disagrees on {:?}:\nreference {want:?}\nstructure {structure:?}",
+            input()
+        ),
     }
+    agreement
 }
 
 const KINDS: [&str; 3] = ["real", "integer", "pattern"];
@@ -619,5 +642,196 @@ fn unusual_spellings_read_identically() {
     ];
     for text in cases {
         check(text);
+    }
+}
+
+/// Value spellings at and past the edges of what the structure reader
+/// proves finite without converting: the exponent bounds, 20- and
+/// 21-digit integer parts, signs, `inf` / `infinity` / `nan` in any case,
+/// truncated tokens, and zero-padded or overlong exponents.
+const EDGE_VALUES: &[&str] = &[
+    "1e279",
+    "1e280",
+    "1e281",
+    "1e308",
+    "1e309",
+    "-1e280",
+    "1e-280",
+    "1e-281",
+    "2e-400",
+    "1.7976931348623157e308",
+    "99999999999999999999",
+    "99999999999999999999e280",
+    "99999999999999999999.5e280",
+    "100000000000000000000",
+    "000000000000000000001",
+    "100000000000000000000e-100",
+    "+1",
+    "-0",
+    "+0.0",
+    "+.5",
+    "-.5e-3",
+    "1.",
+    "1.e5",
+    ".",
+    "-.",
+    ".e1",
+    "1e",
+    "1e+",
+    "e5",
+    "+",
+    "-",
+    "++1",
+    "+-1",
+    "1e0000000000000000000000280",
+    "1e0000000000000000000000281",
+    "1E+0005",
+    "1e-00000000000000000000000000000009",
+    "1e99999999999999999999999",
+    "inf",
+    "-INF",
+    "+Infinity",
+    "infinity",
+    "iNfInItY",
+    "nan",
+    "NaN",
+    "-nan",
+    "infx",
+    "1.0.0",
+    "1e5.0",
+    "0x10",
+    "1_000",
+    "1,5",
+    "1d5",
+];
+
+#[test]
+fn value_edge_spellings_read_identically() {
+    for value in EDGE_VALUES {
+        for header in ["real general", "integer skew-symmetric", "real symmetric"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate {header}\n3 3 2\n1 1 2.5\n3 1 {value}\n");
+            // Scanned in place; with CRLF and tabs; and, through a
+            // non-breaking space, on the general path.
+            check(text.as_bytes());
+            check(
+                text.replace('\n', "\r\n")
+                    .replace("3 1 ", "3\t 1\t")
+                    .as_bytes(),
+            );
+            check(text.replace("3 1 ", "3 1\u{a0}").as_bytes());
+        }
+    }
+}
+
+/// Whenever the byte check says a token is finite, std must parse it to
+/// a finite value. Tokens are built near the check's bounds (integer
+/// parts of up to 32 digits, exponents around 280 and 308, zero padding,
+/// signs) with an occasional stray character, plus tokens of random
+/// bytes from the float alphabet.
+#[test]
+fn proves_finite_implies_std_parses_a_finite_value() {
+    let mut rng = StdRng::seed_from_u64(0x6669_6e69_7465);
+    let digits = |rng: &mut StdRng, n: usize| -> String {
+        (0..n)
+            .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+            .collect()
+    };
+    let signs = ["", "", "+", "-", "--", "+-"];
+    let (mut proven, mut fallback_finite) = (0usize, 0usize);
+    for case in 0..400_000u32 {
+        let token = if case % 4 == 3 {
+            const ALPHABET: &[u8] = b"0123456789.eE+-infatyINFATY_x ";
+            (0..rng.gen_range(0..12usize))
+                .map(|_| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())]))
+                .collect()
+        } else {
+            let mut t = String::from(signs[rng.gen_range(0..signs.len())]);
+            let int_len = rng.gen_range(0..=32usize);
+            t.push_str(&digits(&mut rng, int_len));
+            if rng.gen_bool(0.5) {
+                t.push('.');
+                let frac_len = rng.gen_range(0..=20usize);
+                t.push_str(&digits(&mut rng, frac_len));
+            }
+            if rng.gen_bool(0.7) {
+                t.push(if rng.gen_bool(0.5) { 'e' } else { 'E' });
+                t.push_str(signs[rng.gen_range(0..signs.len())]);
+                let exp: u32 = match rng.gen_range(0..4u32) {
+                    0 => [0, 279, 280, 281, 288, 300, 307, 308, 309, 324, 325]
+                        [rng.gen_range(0..11usize)],
+                    1 => rng.gen_range(270..320),
+                    2 => rng.gen_range(0..30),
+                    _ => rng.gen_range(0..100_000),
+                };
+                let pad = if rng.gen_bool(0.2) {
+                    rng.gen_range(0..30usize)
+                } else {
+                    0
+                };
+                t.push_str(&"0".repeat(pad));
+                if !rng.gen_bool(0.03) {
+                    t.push_str(&exp.to_string());
+                }
+            }
+            if rng.gen_bool(0.03) {
+                let at = rng.gen_range(0..=t.len());
+                t.insert(at, ['.', 'e', 'x', '+', '_'][rng.gen_range(0..5usize)]);
+            }
+            t
+        };
+        let std = token.parse::<f64>();
+        if io::proves_finite(token.as_bytes()) {
+            proven += 1;
+            assert!(
+                std.as_ref().is_ok_and(|v| v.is_finite()),
+                "proved finite, but std gives {std:?} for {token:?}"
+            );
+        } else if std.is_ok_and(f64::is_finite) {
+            fallback_finite += 1;
+        }
+    }
+    // Both sides of the check must be well exercised.
+    assert!(proven > 50_000, "only {proven} tokens proved finite");
+    assert!(
+        fallback_finite > 10_000,
+        "only {fallback_finite} finite fallbacks"
+    );
+    eprintln!("{proven} tokens proved finite, {fallback_finite} finite only through std");
+    for value in EDGE_VALUES {
+        let std = value.parse::<f64>();
+        if io::proves_finite(value.as_bytes()) {
+            assert!(std.is_ok_and(f64::is_finite), "{value}");
+        }
+    }
+}
+
+#[test]
+fn proves_finite_holds_its_stated_bounds() {
+    let cases: &[(&str, bool)] = &[
+        ("1e280", true),
+        ("-1e280", true),
+        ("1e-280", true),
+        ("1e281", false),
+        ("1e-281", false),
+        ("99999999999999999999e280", true),
+        ("100000000000000000000", false),
+        ("1e0000000000000000000000280", true),
+        ("1E+0005", true),
+        ("+.5", true),
+        ("-0", true),
+        ("1.", true),
+        ("1.e5", true),
+        ("2.71828182845904523536e0", true),
+        (".", false),
+        ("1e", false),
+        ("e5", false),
+        ("++1", false),
+        ("inf", false),
+        ("NaN", false),
+        ("", false),
+    ];
+    for &(token, proved) in cases {
+        assert_eq!(io::proves_finite(token.as_bytes()), proved, "{token:?}");
     }
 }

@@ -44,7 +44,7 @@ use spsel_core::{DecisionPhaseNs, ShardedOnlineSelector};
 use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats, NUM_FEATURES};
 use spsel_gpusim::cost::ConversionCostModel;
 use spsel_gpusim::{predict_times, predict_workload_times, Gpu};
-use spsel_matrix::{io, CsrMatrix, Format, FormatRegistry, Workload};
+use spsel_matrix::{io, CsrMatrix, Format, FormatRegistry, SpMv, Workload};
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -455,11 +455,7 @@ impl Engine {
         body: &SelectBody,
     ) -> Result<(FeatureVector, MatrixStats, u64), ServeError> {
         if let Some(path) = &body.matrix {
-            let coo = io::read_matrix_market_file(path).map_err(|e| ServeError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let csr = CsrMatrix::from(&coo);
+            let csr = read_matrix_structure(path)?;
             let start = Instant::now();
             let stats = EXTRACTOR.with(|ex| ex.borrow_mut().stats(&csr));
             let fv = FeatureVector::from_stats(&stats);
@@ -1061,6 +1057,40 @@ fn install_checkpoint(model: &ModelState, checkpoint: &journal::Checkpoint) {
             state.online.install_state(&g.state);
         }
     }
+}
+
+/// Largest row or column count a matrix file may declare: 2^24.
+///
+/// It is set by a memory budget. Reading a file allocates per entry, but
+/// selecting on it also allocates per declared row and column however
+/// few entries there are: 8 B of CSR row pointer and 8 B of extractor
+/// row count per row, and 4 B of diagonal stamp per row and per column.
+/// That is at most 24 B per unit of the larger dimension, so a shape at
+/// the cap costs one request at most 384 MiB, of which the worker's
+/// extractor keeps 256 MiB of scratch for later requests. Without a cap,
+/// the 70-byte `4000000000 4000000000 0` (0 entries, indices within
+/// `u32`) aborts the process on a 32 GB allocation.
+pub const MAX_MATRIX_DIM: usize = 1 << 24;
+
+/// Read a Matrix Market file into the CSR form feature extraction walks.
+/// Every Table 1 feature is a property of the sparsity pattern, so only
+/// the structure is read (values are validated, not converted). A shape
+/// past [`MAX_MATRIX_DIM`] is refused before any per-row allocation.
+pub fn read_matrix_structure(path: &str) -> Result<CsrMatrix, ServeError> {
+    let coo = io::read_matrix_market_structure_file(path).map_err(|e| ServeError::Io {
+        path: path.to_string(),
+        message: e.to_string(),
+    })?;
+    let (nrows, ncols) = (coo.nrows(), coo.ncols());
+    if nrows > MAX_MATRIX_DIM || ncols > MAX_MATRIX_DIM {
+        return Err(ServeError::TooLarge {
+            path: path.to_string(),
+            nrows,
+            ncols,
+            max: MAX_MATRIX_DIM,
+        });
+    }
+    Ok(CsrMatrix::from(&coo))
 }
 
 /// Deterministic measurement-noise seed for a matrix: an FNV-1a hash of

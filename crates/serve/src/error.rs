@@ -58,6 +58,19 @@ pub enum ServeError {
         /// The underlying error text.
         message: String,
     },
+    /// A matrix file declared a shape past
+    /// [`crate::engine::MAX_MATRIX_DIM`] rows or columns. It is refused
+    /// before anything allocates per row or column.
+    TooLarge {
+        /// The path involved.
+        path: String,
+        /// Declared rows.
+        nrows: usize,
+        /// Declared columns.
+        ncols: usize,
+        /// Largest row or column count accepted.
+        max: usize,
+    },
     /// The request took longer than its deadline allowed.
     DeadlineExceeded {
         /// Deadline the request carried (or the server default), ms.
@@ -150,6 +163,7 @@ impl ServeError {
             ServeError::UnknownCluster { .. } => "unknown_cluster",
             ServeError::FeatureDim { .. } => "feature_dim",
             ServeError::Io { .. } => "io",
+            ServeError::TooLarge { .. } => "too_large",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServeError::DeadlineSkipped { .. } => "deadline_skipped",
             ServeError::Shed { .. } => "shed",
@@ -225,6 +239,15 @@ impl fmt::Display for ServeError {
                 write!(f, "feature vector has {got} values, expected {expected}")
             }
             ServeError::Io { path, message } => write!(f, "{path}: {message}"),
+            ServeError::TooLarge {
+                path,
+                nrows,
+                ncols,
+                max,
+            } => write!(
+                f,
+                "{path}: declared shape {nrows} x {ncols} exceeds the {max}-row/column limit"
+            ),
             ServeError::DeadlineExceeded {
                 deadline_ms,
                 elapsed_ms,
@@ -333,6 +356,12 @@ mod tests {
             ServeError::Io {
                 path: "a.mtx".into(),
                 message: "gone".into(),
+            },
+            ServeError::TooLarge {
+                path: "huge.mtx".into(),
+                nrows: 4_000_000_000,
+                ncols: 4_000_000_000,
+                max: 1 << 24,
             },
             ServeError::DeadlineExceeded {
                 deadline_ms: 5,

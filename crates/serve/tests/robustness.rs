@@ -11,6 +11,7 @@ use spsel_core::telemetry::RunReport;
 use spsel_features::{FeatureVector, MatrixStats};
 use spsel_matrix::{gen, CsrMatrix};
 use spsel_serve::artifact::{self, ModelArtifact, TrainConfig};
+use spsel_serve::engine::MAX_MATRIX_DIM;
 use spsel_serve::framing::{self, MAGIC};
 use spsel_serve::protocol::{Request, Response, SelectBody};
 use spsel_serve::{Client, Engine, EngineOptions, ServeOptions, Server};
@@ -228,6 +229,61 @@ fn oversize_error_messages_answer_typed_and_the_worker_keeps_serving() {
     assert!(json.roundtrip(&Request::Stats).unwrap().stats.is_some());
     shutdown_via(addr);
     handle.join().unwrap();
+}
+
+/// A 70-byte file declaring a 4e9 x 4e9 shape with no entries parses,
+/// but its CSR form would need 32 GB of row pointers. It must be refused
+/// typed, before that allocation, as must a shape one past
+/// `MAX_MATRIX_DIM` in either dimension; a shape exactly at the cap is
+/// served, and the only worker answers the next select.
+#[test]
+fn a_huge_declared_shape_is_too_large_and_the_worker_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("spsel-huge-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shape_file = |name: &str, nrows: usize, ncols: usize| {
+        let path = dir.join(name);
+        std::fs::write(
+            &path,
+            format!("%%MatrixMarket matrix coordinate real general\n{nrows} {ncols} 0\n"),
+        )
+        .unwrap();
+        Request::Select {
+            matrix: Some(path.display().to_string()),
+            features: None,
+            gpu: "Volta".into(),
+            iterations: Some(200),
+            deadline_ms: None,
+            learn: Some(false),
+            workload: None,
+        }
+    };
+    let cap = MAX_MATRIX_DIM;
+
+    let (addr, handle) = start_server(single_worker());
+    let mut client = Client::connect(addr).expect("connects");
+    for (name, nrows, ncols) in [
+        ("huge.mtx", 4_000_000_000, 4_000_000_000),
+        ("over-rows.mtx", cap + 1, 1),
+        ("over-cols.mtx", 1, cap + 1),
+    ] {
+        let reply = client.roundtrip(&shape_file(name, nrows, ncols)).unwrap();
+        assert!(!reply.ok, "{name}");
+        let envelope = reply.error.expect("error envelope");
+        assert_eq!(envelope.code, "too_large", "{}", envelope.message);
+        assert!(
+            envelope.message.contains(&format!("{nrows} x {ncols}")),
+            "{}",
+            envelope.message
+        );
+    }
+    // At the cap in columns: 4 B of diagonal stamps per column, 64 MiB.
+    let at_cap = client.roundtrip(&shape_file("at-cap.mtx", 1, cap)).unwrap();
+    assert!(at_cap.ok && at_cap.select.is_some(), "{at_cap:?}");
+    let ok = client.roundtrip(&select_request(3)).unwrap();
+    assert!(ok.ok && ok.select.is_some(), "{ok:?}");
+    shutdown_via(addr);
+    handle.join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A frame cut off by the peer closing its write side gets a typed

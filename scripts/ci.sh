@@ -172,6 +172,48 @@ done
 grep -q '"ok":true' "$SMOKE_DIR/r-sym-rows.json"
 cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-cols.json"
 cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-lower.json"
+# The select CLI reads the three files to the same matrix and decision
+# too (its first line names the file, so the path is masked).
+for f in sym-rows sym-cols sym-lower; do
+    ./target/release/select "$SMOKE_DIR/$f.mtx" --model "$SMOKE_DIR/model.spsel" 2>/dev/null \
+        | sed "s|$SMOKE_DIR/$f.mtx|MATRIX|" > "$SMOKE_DIR/select-$f.txt"
+done
+grep -q 'Pascal' "$SMOKE_DIR/select-sym-rows.txt"
+cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-cols.txt"
+cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-lower.txt"
+# A 70-byte file declaring a 4e9 x 4e9 shape parses (0 entries), but its
+# CSR form would need 32 GB of row pointers. Declared shapes are capped
+# at MAX_MATRIX_DIM = 2^24 = 16777216 rows or columns: past the cap in
+# either dimension, the daemon and the CLI refuse the file typed and the
+# daemon goes on answering selects; exactly at the cap, both serve it,
+# the CLI within the 4 GiB address space the abort was reproduced in.
+for shape in 'huge 4000000000 4000000000' 'over-rows 16777217 1' \
+    'over-cols 1 16777217' 'at-cap 16777216 16777216'; do
+    read -r name nrows ncols <<< "$shape"
+    printf '%%%%MatrixMarket matrix coordinate real general\n%s %s 0\n' "$nrows" "$ncols" \
+        > "$SMOKE_DIR/$name.mtx"
+done
+for f in huge over-rows over-cols at-cap; do
+    ./target/release/spsel request "$ADDR" \
+        "{\"Select\":{\"matrix\":\"$SMOKE_DIR/$f.mtx\",\"features\":null,\"gpu\":\"pascal\",\"iterations\":500,\"deadline_ms\":null,\"learn\":false}}" \
+        > "$SMOKE_DIR/r-$f.json"
+done
+for f in huge over-rows over-cols; do
+    grep -q '"code":"too_large"' "$SMOKE_DIR/r-$f.json"
+    if ./target/release/select "$SMOKE_DIR/$f.mtx" --model "$SMOKE_DIR/model.spsel" \
+        2> "$SMOKE_DIR/select-$f-err.txt"; then
+        echo "select must refuse $f.mtx" >&2; exit 1
+    fi
+    grep -q '"code":"too_large"' "$SMOKE_DIR/select-$f-err.txt"
+done
+grep -q '"ok":true' "$SMOKE_DIR/r-at-cap.json"
+(ulimit -v 4194304 && ./target/release/select "$SMOKE_DIR/at-cap.mtx" \
+    --model "$SMOKE_DIR/model.spsel" 2>/dev/null) > "$SMOKE_DIR/select-at-cap.txt"
+grep -q '16777216 x 16777216 matrix, 0 nonzeros' "$SMOKE_DIR/select-at-cap.txt"
+./target/release/spsel request "$ADDR" \
+    "{\"Select\":{\"matrix\":\"$SMOKE_DIR/sym-rows.mtx\",\"features\":null,\"gpu\":\"pascal\",\"iterations\":500,\"deadline_ms\":null,\"learn\":false}}" \
+    > "$SMOKE_DIR/r-after-huge.json"
+cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-after-huge.json"
 ./target/release/spsel request "$ADDR" '"Shutdown"' > "$SMOKE_DIR/r-shutdown.json"
 grep -q '"stopping":true' "$SMOKE_DIR/r-shutdown.json"
 wait "$SERVE_PID"
