@@ -2,11 +2,17 @@
 //! `general`, `symmetric` and `pattern` files, each written row-major
 //! (what `io::write_matrix_market` emits, so the reader can skip its
 //! sort) and column-major (which forces the sort). Each file is read
-//! twice: with values (`read_matrix_market`) and structure-only
-//! (`read_matrix_market_structure`, the selection path's reader).
+//! three ways: with values (`read_matrix_market`), structure-only
+//! (`read_matrix_market_structure`), and to features
+//! (`/features`: `stream_matrix_market` into a warmed `FeatureExtractor`,
+//! then its stats, as a `matrix` select does). Row-major files stream;
+//! column-major ones take the fallback, so `/features` puts its cost on
+//! record.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use spsel_matrix::{gen, io, CooMatrix, SpMv};
+use spsel_features::FeatureExtractor;
+use spsel_matrix::io::StructureRead;
+use spsel_matrix::{gen, io, CooMatrix, CsrMatrix, SpMv};
 use std::fmt::Write;
 
 /// Render `m` with the given header, keeping only the lower triangle for
@@ -67,6 +73,17 @@ fn bench_matrix_market(c: &mut Criterion) {
             });
             group.bench_function(format!("{name}/structure"), |b| {
                 b.iter(|| io::read_matrix_market_structure(text.as_slice()).expect("valid file"))
+            });
+            let mut extractor = FeatureExtractor::new();
+            group.bench_function(format!("{name}/features"), |b| {
+                b.iter(|| {
+                    match io::stream_matrix_market(text.as_slice(), &mut extractor)
+                        .expect("valid file")
+                    {
+                        StructureRead::Streamed => extractor.finish(),
+                        StructureRead::Collected(coo) => extractor.stats(&CsrMatrix::from(&coo)),
+                    }
+                })
             });
         }
     }

@@ -10,21 +10,22 @@
 //!
 //! With `--model` the decision comes from a pre-trained artifact (see
 //! `spsel train`); otherwise selectors are trained on demand. Either way
-//! the decision itself goes through the serving engine — the exact
-//! codepath `spsel-serve` answers network requests with — so the CLI and
-//! the daemon can never disagree about a matrix. All failures are typed:
+//! the file is featurized by `engine::matrix_stats` and the decision goes
+//! through the serving engine — the exact codepath `spsel-serve` answers
+//! network requests with — so the CLI and the daemon can never disagree
+//! about a matrix. All failures are typed:
 //! the serve error envelope goes to stderr and the exit code is nonzero
 //! (2 for bad arguments, 1 otherwise).
 
 use spsel_core::corpus::{Corpus, CorpusConfig};
 use spsel_core::semi::SemiSupervisedSelector;
 use spsel_core::CoreError;
-use spsel_features::{FeatureVector, MatrixStats};
+use spsel_features::FeatureVector;
 use spsel_gpusim::cost::ConversionCostModel;
 use spsel_gpusim::{FaultConfig, Gpu, TrialPolicy};
-use spsel_matrix::{Format, SpMv};
+use spsel_matrix::Format;
 use spsel_serve::artifact::{self, TrainConfig};
-use spsel_serve::engine::read_matrix_structure;
+use spsel_serve::engine::matrix_stats;
 use spsel_serve::protocol::SelectBody;
 use spsel_serve::{Engine, EngineOptions, ServeError};
 
@@ -104,17 +105,11 @@ fn run(args: &[String]) -> Result<(), ServeError> {
         ))
     })?;
 
-    let csr = read_matrix_structure(&path)?;
-    let stats = MatrixStats::from_csr(&csr);
+    let (stats, _) = matrix_stats(&path)?;
     let fv = FeatureVector::from_stats(&stats);
     println!(
         "{path}: {} x {} matrix, {} nonzeros, rows {}..{} (mean {:.1})",
-        csr.nrows(),
-        csr.ncols(),
-        csr.nnz(),
-        stats.nnz_min,
-        stats.nnz_max,
-        stats.nnz_mean
+        stats.nrows, stats.ncols, stats.nnz, stats.nnz_min, stats.nnz_max, stats.nnz_mean
     );
 
     let engine = match model_path {

@@ -7,21 +7,31 @@
 //! fine for offline table generation and fatal for a serving hot path
 //! that wants to stay allocation-free.
 //!
-//! [`FeatureExtractor`] computes the identical [`MatrixStats`] from one
-//! walk over the CSR row pointers (counts, nnz, min/max, warp chunks,
-//! HYB histogram), one walk over the cache-resident counts scratch (the
-//! mean-relative deviation sums, which cannot ride the first walk
-//! because they need the mean), and one walk over the column indices
-//! (diagonal census). All scratch buffers are reused across calls and
+//! [`FeatureExtractor`] computes the identical [`MatrixStats`] from two
+//! things only: each row's entry count and the set of occupied
+//! diagonals. It gathers them in one of two ways:
+//!
+//! * from a CSR matrix ([`FeatureExtractor::stats`]), in one walk over
+//!   the row pointers and column indices;
+//! * as the [`StructureSink`] of a Matrix Market read
+//!   ([`spsel_matrix::io::stream_matrix_market`]), one position at a
+//!   time, with no matrix built at all; [`FeatureExtractor::finish`] then
+//!   gives the stats.
+//!
+//! Either way the same two aggregate walks over the counts follow: one
+//! for nnz, min/max, warp chunks and the HYB histogram, and one for the
+//! mean-relative deviation sums, which cannot ride the first because they
+//! need the mean. All scratch buffers are reused across calls and
 //! cleared in O(1) with an epoch stamp, so a warmed extractor performs
 //! zero heap allocations. Floating-point accumulation order matches the
 //! legacy path operation for operation, so the result is bit-identical —
 //! `crates/features/tests/properties.rs` proves it over random, empty,
-//! single-row, hub, banded, and power-law matrices.
+//! single-row, hub, banded, and power-law matrices, read both ways.
 
 use crate::stats::WARP_ROWS;
 use crate::{FeatureVector, MatrixStats};
 use spsel_matrix::hyb::{DEFAULT_BREAKEVEN_THRESHOLD, DEFAULT_RELATIVE_SPEED};
+use spsel_matrix::io::StructureSink;
 use spsel_matrix::{CsrMatrix, SpMv};
 
 /// Reusable scratch state for single-pass [`MatrixStats`] extraction.
@@ -43,6 +53,11 @@ pub struct FeatureExtractor {
     /// Current generation for both epoch-stamped buffers. Bumping it
     /// invalidates every stale entry at once — the O(1) "clear".
     epoch: u32,
+    /// Shape of the current matrix.
+    nrows: usize,
+    ncols: usize,
+    /// Occupied diagonals of the current matrix so far.
+    diagonals: usize,
 }
 
 impl FeatureExtractor {
@@ -51,11 +66,11 @@ impl FeatureExtractor {
         Self::default()
     }
 
-    /// Start a new matrix: invalidate both epoch-stamped buffers in O(1).
+    /// Invalidate both epoch-stamped buffers in O(1).
     fn next_epoch(&mut self) {
         if self.epoch == u32::MAX {
-            // One O(len) reset every 2^32 - 1 matrices keeps stale stamps
-            // from a previous generation cycle from reading as live.
+            // One O(len) reset every 2^32 - 1 generations keeps stale
+            // stamps from a previous generation cycle from reading as live.
             self.hist_epoch.fill(0);
             self.diag_epoch.fill(0);
             self.epoch = 1;
@@ -64,28 +79,76 @@ impl FeatureExtractor {
         }
     }
 
-    /// Compute all statistics of `csr`, bit-identical to
-    /// [`MatrixStats::from_csr`], reusing this extractor's scratch.
-    pub fn stats(&mut self, csr: &CsrMatrix) -> MatrixStats {
-        let nrows = csr.nrows();
-        let ncols = csr.ncols();
+    /// Start a matrix of the given shape: a new generation, room for its
+    /// row counts (left as they are) and a stamp per possible diagonal.
+    fn start(&mut self, nrows: usize, ncols: usize) {
         self.next_epoch();
-        let epoch = self.epoch;
         if self.counts.len() < nrows {
             self.counts.resize(nrows, 0);
         }
+        // The `nrows + ncols - 1` possible offsets, if any.
+        let offsets = if nrows > 0 && ncols > 0 {
+            nrows + ncols - 1
+        } else {
+            0
+        };
+        if self.diag_epoch.len() < offsets {
+            self.diag_epoch.resize(offsets, 0);
+        }
+        self.nrows = nrows;
+        self.ncols = ncols;
+        self.diagonals = 0;
+    }
 
-        // Walk 1: the row pointers. Fills the counts scratch and folds in
-        // every aggregate that does not depend on the mean.
+    /// Count the diagonal of position `(row, col)` if it is new. Without
+    /// a branch: whether a diagonal is new is data, not a pattern.
+    #[inline]
+    fn mark_diagonal(&mut self, row: usize, col: usize) {
+        let stamp = &mut self.diag_epoch[col + self.nrows - 1 - row];
+        self.diagonals += usize::from(*stamp != self.epoch);
+        *stamp = self.epoch;
+    }
+
+    /// Compute all statistics of `csr`, bit-identical to
+    /// [`MatrixStats::from_csr`], reusing this extractor's scratch.
+    pub fn stats(&mut self, csr: &CsrMatrix) -> MatrixStats {
+        self.start(csr.nrows(), csr.ncols());
+        // One walk over the rows: each row's count, and the diagonal
+        // census over its column indices.
         let row_ptr = csr.row_ptr();
+        let col_idx = csr.col_idx();
+        for r in 0..self.nrows {
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            self.counts[r] = hi - lo;
+            for &c in &col_idx[lo..hi] {
+                self.mark_diagonal(r, c as usize);
+            }
+        }
+        self.finish()
+    }
+
+    /// The statistics of the matrix gathered since it started: the
+    /// aggregate walks over its row counts. After a Matrix Market read
+    /// that returned [`StructureRead::Streamed`], these are the stats of
+    /// the file's matrix. Calling it again gives the same stats.
+    ///
+    /// [`StructureRead::Streamed`]: spsel_matrix::io::StructureRead::Streamed
+    pub fn finish(&mut self) -> MatrixStats {
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let diagonals = self.diagonals;
+        // The histogram below needs a generation of its own; the census
+        // that used the current one is done.
+        self.next_epoch();
+        let epoch = self.epoch;
+
+        // Walk 1: every aggregate that does not depend on the mean.
         let mut nnz = 0usize;
         let mut nnz_min = usize::MAX;
         let mut nnz_max = 0usize;
         let mut csr_max = 0usize;
         let mut warp_sum = 0usize;
         for r in 0..nrows {
-            let c = row_ptr[r + 1] - row_ptr[r];
-            self.counts[r] = c;
+            let c = self.counts[r];
             nnz += c;
             nnz_min = nnz_min.min(c);
             nnz_max = nnz_max.max(c);
@@ -143,7 +206,7 @@ impl FeatureExtractor {
             width
         };
 
-        // Walk 2: the counts scratch, in row order. The deviation sums
+        // Walk 2: the counts again, in row order. The deviation sums
         // need the mean, so they cannot ride walk 1; accumulation order
         // matches `MatrixStats::from_row_counts` exactly.
         let mut var_sum = 0.0;
@@ -180,29 +243,6 @@ impl FeatureExtractor {
             (higher_sum / higher_n as f64).sqrt()
         };
 
-        // Walk 3: the column indices — diagonal census over the
-        // `nrows + ncols - 1` possible offsets, occupancy tracked by
-        // epoch stamp instead of a freshly-zeroed bitmap.
-        let mut diagonals = 0usize;
-        let mut dia_size = 0usize;
-        if nrows > 0 && ncols > 0 {
-            let offsets = nrows + ncols - 1;
-            if self.diag_epoch.len() < offsets {
-                self.diag_epoch.resize(offsets, 0);
-            }
-            let col_idx = csr.col_idx();
-            for r in 0..nrows {
-                for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                    let idx = c as usize + nrows - 1 - r;
-                    if self.diag_epoch[idx] != epoch {
-                        self.diag_epoch[idx] = epoch;
-                        diagonals += 1;
-                    }
-                }
-            }
-            dia_size = diagonals * nrows;
-        }
-
         MatrixStats {
             nrows,
             ncols,
@@ -219,7 +259,7 @@ impl FeatureExtractor {
             hyb_ell_nnz,
             hyb_coo_nnz: nnz - hyb_ell_nnz,
             diagonals,
-            dia_size,
+            dia_size: diagonals * nrows,
             ell_size: nnz_max * nrows,
         }
     }
@@ -227,6 +267,25 @@ impl FeatureExtractor {
     /// Extract the Table 1 feature vector of `csr` via [`Self::stats`].
     pub fn features(&mut self, csr: &CsrMatrix) -> FeatureVector {
         FeatureVector::from_stats(&self.stats(csr))
+    }
+}
+
+/// The extractor as the sink of a Matrix Market read: each position adds
+/// to its row's count and stamps its diagonal. Scratch is sized per
+/// declared row and column in [`StructureSink::begin`], which accepts
+/// every shape; a caller that must bound that memory declines large
+/// shapes in a sink of its own that wraps this one.
+impl StructureSink for FeatureExtractor {
+    fn begin(&mut self, nrows: usize, ncols: usize) -> bool {
+        self.start(nrows, ncols);
+        self.counts[..nrows].fill(0);
+        true
+    }
+
+    #[inline]
+    fn position(&mut self, row: usize, col: usize) {
+        self.counts[row] += 1;
+        self.mark_diagonal(row, col);
     }
 }
 

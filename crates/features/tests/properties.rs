@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use spsel_features::{
     FeatureExtractor, FeatureId, FeatureVector, MatrixStats, MinMaxScaler, Pca, Preprocessor,
 };
-use spsel_matrix::{gen, CooMatrix, CsrMatrix};
+use spsel_matrix::io::{self, StructureRead};
+use spsel_matrix::{gen, CooMatrix, CsrMatrix, SpMv};
+use std::fmt::Write;
 
 /// Random row-count vectors (the input MatrixStats is derived from).
 fn arb_counts() -> impl Strategy<Value = (usize, Vec<usize>)> {
@@ -80,9 +82,11 @@ proptest! {
 
     #[test]
     fn single_pass_extractor_bit_identical_on_random_patterns(csr in arb_pattern()) {
-        // One shared extractor across cases exercises scratch reuse.
+        // One extractor for every read of the case exercises scratch
+        // reuse.
         let mut ex = FeatureExtractor::new();
         assert_extractor_identical(&mut ex, &csr);
+        assert_sink_identical(&mut ex, &csr);
     }
 
     #[test]
@@ -107,6 +111,7 @@ proptest! {
         let mut ex = FeatureExtractor::new();
         for csr in &families {
             assert_extractor_identical(&mut ex, csr);
+            assert_sink_identical(&mut ex, csr);
         }
     }
 
@@ -168,6 +173,111 @@ fn assert_extractor_identical(ex: &mut FeatureExtractor, csr: &CsrMatrix) {
         .map(|v| v.to_bits())
         .collect();
     assert_eq!(bits_new, bits_old, "feature bits diverge");
+}
+
+/// Every Matrix Market header: each value kind with each symmetry.
+const HEADERS: [(&str, &str); 9] = [
+    ("real", "general"),
+    ("integer", "general"),
+    ("pattern", "general"),
+    ("real", "symmetric"),
+    ("integer", "symmetric"),
+    ("pattern", "symmetric"),
+    ("real", "skew-symmetric"),
+    ("integer", "skew-symmetric"),
+    ("pattern", "skew-symmetric"),
+];
+
+/// `csr` written row-major as a Matrix Market file with the given header,
+/// and the matrix that file holds. A `general` file holds `csr`. A
+/// mirrored file stores the entries of `csr` on or below the diagonal
+/// whose mirror fits the shape, and holds those and their mirrors.
+fn write_mtx(csr: &CsrMatrix, kind: &str, symmetry: &str) -> (Vec<u8>, CsrMatrix) {
+    let stored: Vec<(usize, usize, f64)> = csr
+        .iter()
+        .filter(|&(r, c, _)| symmetry == "general" || (r >= c && r < csr.ncols()))
+        .collect();
+    let mut text = format!(
+        "%%MatrixMarket matrix coordinate {kind} {symmetry}\n{} {} {}\n",
+        csr.nrows(),
+        csr.ncols(),
+        stored.len()
+    );
+    for &(r, c, v) in &stored {
+        match kind {
+            "pattern" => writeln!(text, "{} {}", r + 1, c + 1),
+            "integer" => writeln!(text, "{} {} {}", r + 1, c + 1, v.round()),
+            _ => writeln!(text, "{} {} {:.17e}", r + 1, c + 1, v),
+        }
+        .expect("writing to a String");
+    }
+    let mut held = stored.clone();
+    if symmetry != "general" {
+        held.extend(
+            stored
+                .iter()
+                .filter(|e| e.0 != e.1)
+                .map(|&(r, c, v)| (c, r, v)),
+        );
+    }
+    let held = CooMatrix::from_triplets(csr.nrows(), csr.ncols(), &held).expect("distinct");
+    (text.into_bytes(), CsrMatrix::from(&held))
+}
+
+/// Bit-exact comparison of the extractor used as the sink of a Matrix
+/// Market read against the legacy path on the matrix the file holds, in
+/// every header: the row-major file must stream, and its stats and
+/// feature bits must match.
+fn assert_sink_identical(ex: &mut FeatureExtractor, csr: &CsrMatrix) {
+    for (kind, symmetry) in HEADERS {
+        let (text, held) = write_mtx(csr, kind, symmetry);
+        let read = io::stream_matrix_market(text.as_slice(), ex).expect("valid file");
+        assert_eq!(read, StructureRead::Streamed, "{kind} {symmetry}");
+        let streamed = ex.finish();
+        assert_eq!(
+            ex.finish(),
+            streamed,
+            "{kind} {symmetry}: finish is not repeatable"
+        );
+        let legacy = MatrixStats::from_csr(&held);
+        assert_eq!(streamed, legacy, "{kind} {symmetry}: stats diverge");
+        let bits = |s: &MatrixStats| {
+            FeatureVector::from_stats(s)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(
+            bits(&streamed),
+            bits(&legacy),
+            "{kind} {symmetry}: bits diverge"
+        );
+    }
+}
+
+#[test]
+fn a_warmed_sink_reads_shrinking_shapes_identically() {
+    // The largest matrix first sizes the scratch; every later, smaller
+    // one must not read its stale counts, stamps or histogram, whether
+    // it is streamed or walked as CSR.
+    let mut ex = FeatureExtractor::new();
+    let shrinking = [
+        CsrMatrix::from(&gen::power_law(400, 400, 3, 2.1, 200, 1)),
+        CsrMatrix::from(&gen::banded(150, 5, 0.7, 3)),
+        CsrMatrix::from(&gen::random_uniform(64, 96, 6, 4)),
+        CsrMatrix::from(&gen::row_skewed(40, 30, 2, 20, 0.1, 5)),
+        CsrMatrix::from(&gen::stencil2d(5, 0)),
+        CsrMatrix::from(&CooMatrix::zeros(3, 7)),
+        CsrMatrix::from(&CooMatrix::zeros(1, 1)),
+        CsrMatrix::from(&CooMatrix::zeros(2, 0)),
+        CsrMatrix::from(&CooMatrix::zeros(0, 0)),
+    ];
+    for csr in &shrinking {
+        assert_sink_identical(&mut ex, csr);
+        assert_extractor_identical(&mut ex, csr);
+        assert_sink_identical(&mut ex, csr);
+    }
 }
 
 fn dist(a: &[f64], b: &[f64]) -> f64 {

@@ -27,12 +27,21 @@
 //!   file implies across the diagonal is bounds-checked like a stored
 //!   one, which matters on non-square shapes.
 //!
-//! The same reader has a structure-only entry point,
-//! [`read_matrix_market_structure`], for callers that need only the
-//! sparsity pattern, such as format selection: every Table 1 feature is
-//! a property of the pattern. It validates each value without converting
-//! it and gives the same positions, or the same error, with every value
-//! 1.0.
+//! One entry loop serves three entry points. The common entry line (single
+//! spaces, plain-digit indices, a value proved finite, a `\n` ending) is
+//! scanned inline in that loop; any other line goes to a second scanner
+//! or to the general path. Each entry point is a sink of the loop:
+//!
+//! * [`read_matrix_market`] collects every entry and its value.
+//! * [`read_matrix_market_structure`] collects the sparsity pattern, for
+//!   callers such as format selection: every Table 1 feature is a
+//!   property of the pattern. It validates each value without converting
+//!   it and gives the same positions, or the same error, with every value
+//!   1.0.
+//! * [`stream_matrix_market`] builds no matrix at all: it hands each
+//!   position to a [`StructureSink`] as it scans, while the entry order
+//!   proves the positions distinct, and falls back to the structure
+//!   reader when it cannot.
 
 use crate::{CooMatrix, MatrixError, Result};
 use std::io::{Read, Write};
@@ -65,6 +74,7 @@ fn parse_error(line: usize, msg: impl Into<String>) -> MatrixError {
 /// UTF-8 is validated once, up front. The cursor hands out only the
 /// whole lines before the first invalid byte; asking for the line that
 /// holds it fails the way `BufRead::lines` fails on that line.
+#[derive(Clone, Copy)]
 struct Lines<'a> {
     text: &'a str,
     pos: usize,
@@ -120,8 +130,41 @@ impl<'a> Lines<'a> {
         }))
     }
 
-    /// The next line of the entry section. Lines in the common shape are
-    /// scanned once, byte by byte; any other line comes back whole.
+    /// The entry line at the cursor if it has the common shape: a row
+    /// and a column of plain digits and (unless `pattern`) a value that
+    /// [`finite_float_end`] proves finite, separated by single spaces and
+    /// ended by `\n`. Returns the indices as written and the value field,
+    /// and moves to the next line; any other line returns `None` and
+    /// leaves the cursor where it was, for [`Self::next_entry`].
+    #[inline]
+    fn common_entry(&mut self, pattern: bool) -> Option<(usize, usize, Option<&'a str>)> {
+        let bytes = self.text.as_bytes();
+        let (r, i) = plain_index(bytes, self.pos)?;
+        if bytes.get(i) != Some(&b' ') {
+            return None;
+        }
+        let (c, i) = plain_index(bytes, i + 1)?;
+        let (value, end) = if pattern {
+            (None, i)
+        } else {
+            if bytes.get(i) != Some(&b' ') {
+                return None;
+            }
+            let end = finite_float_end(bytes, i + 1)?;
+            (Some(&self.text[i + 1..end]), end)
+        };
+        if bytes.get(end) != Some(&b'\n') {
+            return None;
+        }
+        self.pos = end + 1;
+        self.number += 1;
+        Some((r, c, value))
+    }
+
+    /// The next line of the entry section, for lines
+    /// [`Self::common_entry`] does not take. Lines in [`scan_entry`]'s
+    /// shape are scanned once, byte by byte; any other line comes back
+    /// whole.
     fn next_entry(&mut self, pattern: bool) -> Result<Option<EntryLine<'a>>> {
         let bytes = self.text.as_bytes();
         if self.pos == bytes.len() {
@@ -183,13 +226,11 @@ fn skip_separator(bytes: &[u8], i: usize) -> usize {
 /// goes to the general path, which keeps the overflow error.
 const FAST_INDEX_DIGITS: usize = 19;
 
-/// An index field of plain digits (after at most one `+`) that ends at
-/// whitespace or the end of input, read straight from its digits.
-/// `None` for anything else, a field past [`FAST_INDEX_DIGITS`] included.
-fn scan_index(bytes: &[u8], mut i: usize) -> Option<(usize, usize)> {
-    if bytes.get(i) == Some(&b'+') {
-        i += 1;
-    }
+/// The run of at most [`FAST_INDEX_DIGITS`] digits that starts at byte
+/// `i`, read as a number, and the position after it; `None` if byte `i`
+/// is not a digit. The caller checks what ends the field.
+#[inline]
+fn plain_index(bytes: &[u8], mut i: usize) -> Option<(usize, usize)> {
     let start = i;
     let limit = bytes.len().min(start + FAST_INDEX_DIGITS);
     let mut n = 0u64;
@@ -201,8 +242,18 @@ fn scan_index(bytes: &[u8], mut i: usize) -> Option<(usize, usize)> {
         n = n * 10 + d as u64;
         i += 1;
     }
-    let ends_field = bytes.get(i).is_none_or(|&b| is_space(b));
-    (i > start && ends_field).then_some((usize::try_from(n).ok()?, i))
+    (i > start).then_some((usize::try_from(n).ok()?, i))
+}
+
+/// An index field of plain digits (after at most one `+`) that ends at
+/// whitespace or the end of input, read straight from its digits.
+/// `None` for anything else, a field past [`FAST_INDEX_DIGITS`] included.
+fn scan_index(bytes: &[u8], mut i: usize) -> Option<(usize, usize)> {
+    if bytes.get(i) == Some(&b'+') {
+        i += 1;
+    }
+    let (n, i) = plain_index(bytes, i)?;
+    bytes.get(i).is_none_or(|&b| is_space(b)).then_some((n, i))
 }
 
 /// Scan the entry line starting at byte `i` if it has the common shape:
@@ -268,10 +319,79 @@ pub fn read_matrix_market_structure<R: Read>(reader: R) -> Result<CooMatrix> {
     read_coordinate(reader, false)
 }
 
-/// Read the sparsity structure of a Matrix Market file from disk (see
-/// [`read_matrix_market_structure`]).
-pub fn read_matrix_market_structure_file<P: AsRef<Path>>(path: P) -> Result<CooMatrix> {
-    read_matrix_market_structure(std::fs::File::open(path)?)
+/// Receives the sparsity structure of a Matrix Market file while
+/// [`stream_matrix_market`] scans it.
+pub trait StructureSink {
+    /// A matrix of the declared shape begins; forget any earlier one.
+    /// Called once per read, after the size line passed its checks and
+    /// before any entry is read. Returning `false` declines the stream:
+    /// the sink then receives nothing, and the file is read as
+    /// [`read_matrix_market_structure`] reads it.
+    fn begin(&mut self, nrows: usize, ncols: usize) -> bool;
+
+    /// One position of the matrix, 0-based and within the declared
+    /// shape: a stored entry, or the entry a `symmetric` /
+    /// `skew-symmetric` file implies across the diagonal. No position
+    /// comes twice.
+    fn position(&mut self, row: usize, col: usize);
+}
+
+/// How [`stream_matrix_market`] read a file.
+#[derive(Debug, PartialEq)]
+pub enum StructureRead {
+    /// The sink received every position of the matrix, each once.
+    Streamed,
+    /// The sink declined the stream, or the entry order did not prove
+    /// the positions distinct. This is the matrix
+    /// [`read_matrix_market_structure`] gives; whatever the sink received
+    /// is partial and dropped, and its next [`StructureSink::begin`]
+    /// clears it.
+    Collected(CooMatrix),
+}
+
+/// Read the sparsity structure of a Matrix Market file into `sink`,
+/// building no matrix when the entry order allows it.
+///
+/// As it scans, the reader hands each stored position, and its mirror,
+/// to the sink, for as long as the order of the entries proves, at O(1)
+/// per entry, that no position repeats: `(row, col)` strictly ascending,
+/// and, in a `symmetric` or `skew-symmetric` file, every stored entry on
+/// or below the diagonal, so that no mirror can meet a stored entry.
+/// That is the order [`write_matrix_market`] writes. An entry that
+/// breaks the order, or lies outside the shape, ends the stream: the
+/// reader drops what the sink received and reads the bytes again as
+/// [`read_matrix_market_structure`] does, so the outcome is always that
+/// reader's matrix or its exact error. A parse error or a count mismatch
+/// found while streaming is that error.
+pub fn stream_matrix_market<R: Read, S: StructureSink>(
+    reader: R,
+    sink: &mut S,
+) -> Result<StructureRead> {
+    let bytes = read_all(reader)?;
+    let mut lines = Lines::new(&bytes);
+    let header = read_header(&mut lines)?;
+    if sink.begin(header.nrows, header.ncols) {
+        let mut proven = Proven {
+            sink,
+            nrows: header.nrows,
+            ncols: header.ncols,
+            mirrored: header.symmetry != Symmetry::General,
+            next_key: 0,
+        };
+        let mut scan = lines;
+        if read_entries(&mut scan, &header, false, &mut proven)? {
+            return Ok(StructureRead::Streamed);
+        }
+    }
+    collect(lines, &header, false).map(StructureRead::Collected)
+}
+
+/// [`stream_matrix_market`] from a file on disk.
+pub fn stream_matrix_market_file<P: AsRef<Path>, S: StructureSink>(
+    path: P,
+    sink: &mut S,
+) -> Result<StructureRead> {
+    stream_matrix_market(std::fs::File::open(path)?, sink)
 }
 
 /// Whether the bytes of a value field alone prove that `str::parse::<f64>`
@@ -289,20 +409,15 @@ pub fn proves_finite(field: &[u8]) -> bool {
 /// The end of the longest float [`proves_finite`] accepts that starts at
 /// byte `i`, or `None` if none does. The float is the whole field only if
 /// it ends there.
+#[inline]
 fn finite_float_end(bytes: &[u8], i: usize) -> Option<usize> {
-    let digits_from = |mut i: usize| {
-        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        i
-    };
     let after_sign = |i: usize| i + usize::from(matches!(bytes.get(i), Some(b'+' | b'-')));
     let int_start = after_sign(i);
-    let mut i = digits_from(int_start);
+    let mut i = digit_run_end(bytes, int_start);
     let int_digits = i - int_start;
     let mut frac_digits = 0;
     if bytes.get(i) == Some(&b'.') {
-        let frac_end = digits_from(i + 1);
+        let frac_end = digit_run_end(bytes, i + 1);
         frac_digits = frac_end - (i + 1);
         i = frac_end;
     }
@@ -325,17 +440,58 @@ fn finite_float_end(bytes: &[u8], i: usize) -> Option<usize> {
     (i > exp_start).then_some(i)
 }
 
-/// The one reader behind both entry points. With `keep_values`, every
-/// value is converted; without, entries read 1.0 and a value field is
-/// converted only when [`proves_finite`] cannot vouch for it (the entry
-/// scanner applies the same check as it finds the field's end; the
-/// value-keeping reader ignores the verdict).
-fn read_coordinate<R: Read>(mut reader: R, keep_values: bool) -> Result<CooMatrix> {
+/// The end of the run of ASCII digits that starts at byte `i`: eight
+/// bytes at a time while eight remain, then byte by byte.
+#[inline]
+fn digit_run_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(word) = bytes.get(i..).and_then(<[u8]>::first_chunk::<8>) {
+        let mask = non_digits(u64::from_le_bytes(*word));
+        if mask != 0 {
+            // Bytes are numbered from the low end, so the first
+            // non-digit is the lowest set byte of the mask.
+            return i + mask.trailing_zeros() as usize / 8;
+        }
+        // A word of digits moves on by a constant, so the next load
+        // need not wait for this one's mask.
+        i += 8;
+    }
+    while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+        i += 1;
+    }
+    i
+}
+
+/// A mask of `word` with bits set in each byte that is not an ASCII
+/// digit, and in no other byte.
+#[inline]
+fn non_digits(word: u64) -> u64 {
+    const HIGH: u64 = 0xf0f0_f0f0_f0f0_f0f0;
+    const LOW: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+    // A digit becomes 0x00..=0x09, and only a digit does: its high
+    // nibble is clear, and adding 6 to its low nibble stays below 0x10.
+    // No byte carries into the next (0x0f + 0x06 < 0x100).
+    let x = word ^ 0x3030_3030_3030_3030;
+    (x & HIGH) | ((x & LOW) + 0x0606_0606_0606_0606) & HIGH
+}
+
+/// The banner and size line of a file.
+struct Header {
+    kind: ValueKind,
+    symmetry: Symmetry,
+    nrows: usize,
+    ncols: usize,
+    declared_nnz: usize,
+}
+
+fn read_all<R: Read>(mut reader: R) -> Result<Vec<u8>> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let mut lines = Lines::new(&bytes);
+    Ok(bytes)
+}
 
-    // Header line.
+/// Parse the banner and the size line, leaving `lines` at the line after
+/// the size line.
+fn read_header(lines: &mut Lines<'_>) -> Result<Header> {
     let header = loop {
         match lines.next_line()? {
             Some(line) if !line.trim().is_empty() => break line,
@@ -421,55 +577,70 @@ fn read_coordinate<R: Read>(mut reader: R, keep_values: bool) -> Result<CooMatri
             format!("declared {declared_nnz} entries exceed {nrows} x {ncols} capacity"),
         ));
     }
+    Ok(Header {
+        kind,
+        symmetry,
+        nrows,
+        ncols,
+        declared_nnz,
+    })
+}
 
-    // Cap preallocation so a corrupt size line cannot trigger a huge
-    // allocation before any entry is parsed.
-    const PREALLOC_CAP: usize = 1 << 20;
-    let capacity = declared_nnz.min(PREALLOC_CAP);
-    let mut rows: Vec<u32> = Vec::with_capacity(capacity);
-    let mut cols: Vec<u32> = Vec::with_capacity(capacity);
-    let mut vals: Vec<f64> = Vec::with_capacity(if keep_values { capacity } else { 0 });
-    // The first out-of-bounds entry is remembered rather than raised, so
-    // a parse error or count mismatch later in the file still wins.
-    let mut out_of_bounds = None;
-    let mut push = |r: usize, c: usize, v: f64| {
-        if (r >= nrows || c >= ncols) && out_of_bounds.is_none() {
-            out_of_bounds = Some((r, c));
-        }
-        rows.push(r as u32);
-        cols.push(c as u32);
-        if keep_values {
-            vals.push(v);
-        }
-    };
-    let pattern = kind == ValueKind::Pattern;
+/// Where the entry loop puts each stored entry.
+trait EntrySink {
+    /// One stored entry, 0-based as written (it may lie outside the
+    /// shape), and its value; 1.0 unless values are kept. `false` stops
+    /// the loop.
+    fn stored(&mut self, row: usize, col: usize, value: f64) -> bool;
+}
+
+/// The one entry loop: parse every entry line after the size line and
+/// hand each entry to `sink`. With `keep_values`, every value is
+/// converted; without, entries read 1.0 and a value field is converted
+/// only when [`proves_finite`] cannot vouch for it (both scanners apply
+/// the same check as they find the field's end; the value-keeping reader
+/// ignores the verdict). Returns `false` if the sink stopped the loop,
+/// and `true` once every entry went to the sink and their number matched
+/// the size line.
+fn read_entries<S: EntrySink>(
+    lines: &mut Lines<'_>,
+    header: &Header,
+    keep_values: bool,
+    sink: &mut S,
+) -> Result<bool> {
+    let pattern = header.kind == ValueKind::Pattern;
     let mut seen = 0usize;
-    while let Some(line) = lines.next_entry(pattern)? {
-        let lineno = lines.number;
-        let (r, c, value, proven) = match line {
-            EntryLine::Skip => continue,
-            EntryLine::Fast(r, c, value, proven) => (r, c, value, proven),
-            EntryLine::Other(line) => {
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
+    loop {
+        let (r, c, value, proven) = match lines.common_entry(pattern) {
+            Some((r, c, value)) => (r, c, value, true),
+            None => match lines.next_entry(pattern)? {
+                None => break,
+                Some(EntryLine::Skip) => continue,
+                Some(EntryLine::Fast(r, c, value, proven)) => (r, c, value, proven),
+                Some(EntryLine::Other(line)) => {
+                    let t = line.trim();
+                    if t.is_empty() || t.starts_with('%') {
+                        continue;
+                    }
+                    let lineno = lines.number;
+                    let mut fields = t.split_whitespace();
+                    let r = parse_index(fields.next(), lineno)?;
+                    let c = parse_index(fields.next(), lineno)?;
+                    let value = fields.next();
+                    (
+                        r,
+                        c,
+                        value,
+                        value.is_some_and(|f| proves_finite(f.as_bytes())),
+                    )
                 }
-                let mut fields = t.split_whitespace();
-                let r = parse_index(fields.next(), lineno)?;
-                let c = parse_index(fields.next(), lineno)?;
-                let value = fields.next();
-                (
-                    r,
-                    c,
-                    value,
-                    value.is_some_and(|f| proves_finite(f.as_bytes())),
-                )
-            }
+            },
         };
+        let lineno = lines.number;
         if r == 0 || c == 0 {
             return Err(parse_error(lineno, "indices are 1-based"));
         }
-        let v = match kind {
+        let v = match header.kind {
             ValueKind::Pattern => 1.0,
             _ => {
                 let field = value.ok_or_else(|| parse_error(lineno, "missing value"))?;
@@ -486,24 +657,47 @@ fn read_coordinate<R: Read>(mut reader: R, keep_values: bool) -> Result<CooMatri
                 }
             }
         };
-        let (r, c) = (r - 1, c - 1);
-        push(r, c, v);
-        if r != c {
-            match symmetry {
-                Symmetry::General => {}
-                Symmetry::Symmetric => push(c, r, v),
-                Symmetry::SkewSymmetric => push(c, r, -v),
-            }
+        if !sink.stored(r - 1, c - 1, v) {
+            return Ok(false);
         }
         seen += 1;
     }
-    if seen != declared_nnz {
+    if seen != header.declared_nnz {
         return Err(parse_error(
             0,
-            format!("declared {declared_nnz} entries, found {seen}"),
+            format!("declared {} entries, found {seen}", header.declared_nnz),
         ));
     }
-    if let Some((row, col)) = out_of_bounds {
+    Ok(true)
+}
+
+/// The value-keeping and structure readers: read the whole input into a
+/// [`CooMatrix`].
+fn read_coordinate<R: Read>(reader: R, keep_values: bool) -> Result<CooMatrix> {
+    let bytes = read_all(reader)?;
+    let mut lines = Lines::new(&bytes);
+    let header = read_header(&mut lines)?;
+    collect(lines, &header, keep_values)
+}
+
+/// Read the entries after the size line into a [`CooMatrix`]: the sink
+/// of the two COO readers, and the structure stream's fallback.
+fn collect(mut lines: Lines<'_>, header: &Header, keep_values: bool) -> Result<CooMatrix> {
+    // Cap preallocation so a corrupt size line cannot trigger a huge
+    // allocation before any entry is parsed.
+    const PREALLOC_CAP: usize = 1 << 20;
+    let capacity = header.declared_nnz.min(PREALLOC_CAP);
+    let mut coo = CooEntries {
+        header,
+        keep_values,
+        rows: Vec::with_capacity(capacity),
+        cols: Vec::with_capacity(capacity),
+        vals: Vec::with_capacity(if keep_values { capacity } else { 0 }),
+        out_of_bounds: None,
+    };
+    read_entries(&mut lines, header, keep_values, &mut coo)?;
+    let (nrows, ncols) = (header.nrows, header.ncols);
+    if let Some((row, col)) = coo.out_of_bounds {
         return Err(MatrixError::IndexOutOfBounds {
             row,
             col,
@@ -511,10 +705,88 @@ fn read_coordinate<R: Read>(mut reader: R, keep_values: bool) -> Result<CooMatri
             ncols,
         });
     }
-    if !keep_values {
-        vals = vec![1.0; rows.len()];
+    let vals = if keep_values {
+        coo.vals
+    } else {
+        vec![1.0; coo.rows.len()]
+    };
+    CooMatrix::from_unsorted_parts(nrows, ncols, coo.rows, coo.cols, vals)
+}
+
+/// Every entry and its mirror as COO arrays, in file order.
+struct CooEntries<'h> {
+    header: &'h Header,
+    keep_values: bool,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    /// The first out-of-bounds entry is remembered rather than raised,
+    /// so a parse error or count mismatch later in the file still wins.
+    out_of_bounds: Option<(usize, usize)>,
+}
+
+impl CooEntries<'_> {
+    fn push(&mut self, r: usize, c: usize, v: f64) {
+        if (r >= self.header.nrows || c >= self.header.ncols) && self.out_of_bounds.is_none() {
+            self.out_of_bounds = Some((r, c));
+        }
+        self.rows.push(r as u32);
+        self.cols.push(c as u32);
+        if self.keep_values {
+            self.vals.push(v);
+        }
     }
-    CooMatrix::from_unsorted_parts(nrows, ncols, rows, cols, vals)
+}
+
+impl EntrySink for CooEntries<'_> {
+    fn stored(&mut self, r: usize, c: usize, v: f64) -> bool {
+        self.push(r, c, v);
+        if r != c {
+            match self.header.symmetry {
+                Symmetry::General => {}
+                Symmetry::Symmetric => self.push(c, r, v),
+                Symmetry::SkewSymmetric => self.push(c, r, -v),
+            }
+        }
+        true
+    }
+}
+
+/// Hands positions to a [`StructureSink`] for as long as the entry order
+/// proves them distinct (see [`stream_matrix_market`]).
+struct Proven<'s, S> {
+    sink: &'s mut S,
+    nrows: usize,
+    ncols: usize,
+    /// Whether stored entries off the diagonal imply a mirror.
+    mirrored: bool,
+    /// The smallest key `row << 32 | col` the next stored entry may have.
+    next_key: u64,
+}
+
+impl<S: StructureSink> EntrySink for Proven<'_, S> {
+    #[inline]
+    fn stored(&mut self, r: usize, c: usize, _: f64) -> bool {
+        if r >= self.nrows || c >= self.ncols {
+            return false;
+        }
+        // Both indices fit a `u32` here, so the key cannot overflow.
+        let key = (r as u64) << 32 | c as u64;
+        if key < self.next_key {
+            return false;
+        }
+        self.next_key = key + 1;
+        if self.mirrored && r != c {
+            // Below the diagonal, so the mirror's row `c < r` is in
+            // bounds; its column `r` is checked.
+            if c > r || r >= self.ncols {
+                return false;
+            }
+            self.sink.position(c, r);
+        }
+        self.sink.position(r, c);
+        true
+    }
 }
 
 /// Write a matrix as `matrix coordinate real general`.
@@ -680,6 +952,67 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1.0\n";
         let err = read_matrix_market(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("exceed"), "{err}");
+    }
+
+    #[test]
+    fn non_digit_mask_marks_exactly_the_non_digit_bytes() {
+        // Every byte value in every lane, beside digits and beside bytes
+        // that would carry if a lane could carry into the next.
+        for filler in [b'0', b'9', b'/', b':', 0xff] {
+            for lane in 0..8 {
+                for b in 0..=255u8 {
+                    let mut word = [filler; 8];
+                    word[lane] = b;
+                    let mask = non_digits(u64::from_le_bytes(word)).to_le_bytes();
+                    for (k, &m) in mask.iter().enumerate() {
+                        let byte = word[k];
+                        assert_eq!(m != 0, !byte.is_ascii_digit(), "{word:?} lane {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digit_runs_end_where_a_byte_loop_ends_them() {
+        // End of input, the bytes either side of the digits in ASCII,
+        // the float grammar's and the line's separators, and bytes past
+        // ASCII.
+        let ends: [Option<u8>; 15] = [
+            None,
+            Some(b'/'),
+            Some(b':'),
+            Some(b';'),
+            Some(b'<'),
+            Some(b'='),
+            Some(b'>'),
+            Some(b'?'),
+            Some(b'.'),
+            Some(b'e'),
+            Some(b' '),
+            Some(b'\n'),
+            Some(0x80),
+            Some(0xc2),
+            Some(0xff),
+        ];
+        for offset in 0..8 {
+            for len in 0..=24usize {
+                for end in ends {
+                    let mut bytes = vec![b'x'; offset];
+                    bytes.extend((0..len).map(|k| b'0' + ((k * 7 + offset) % 10) as u8));
+                    if let Some(b) = end {
+                        // Digits after the end must not join the run.
+                        bytes.push(b);
+                        bytes.extend_from_slice(b"123456789");
+                    }
+                    assert_eq!(
+                        digit_run_end(&bytes, offset),
+                        offset + len,
+                        "{len} digits at offset {offset}, ended by {end:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

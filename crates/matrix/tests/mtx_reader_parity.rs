@@ -9,10 +9,14 @@
 //! one-pass reader must give the same matrix (value bits included) or
 //! the same error (variant, message, line), and the structure reader
 //! `io::read_matrix_market_structure` the same positions with every
-//! value 1.0, or the same error.
+//! value 1.0, or the same error. The structure stream
+//! `io::stream_matrix_market` must hand a sink those positions, each
+//! exactly once, or fall back to the structure reader's matrix, or give
+//! the same error.
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng, StdRng};
+use spsel_matrix::io::{StructureRead, StructureSink};
 use spsel_matrix::{gen, io, CooMatrix, MatrixError, SpMv};
 use std::io::{BufRead, BufReader, Read};
 
@@ -247,12 +251,53 @@ enum Agreement {
     SameError,
 }
 
-/// Run the three readers on `bytes`; panic with the input on any
+/// A sink that keeps the shape and every position it is handed.
+#[derive(Debug, Default)]
+struct Collecting {
+    shape: Option<(usize, usize)>,
+    positions: Vec<(u32, u32)>,
+}
+
+impl StructureSink for Collecting {
+    fn begin(&mut self, nrows: usize, ncols: usize) -> bool {
+        self.shape = Some((nrows, ncols));
+        self.positions.clear();
+        true
+    }
+
+    fn position(&mut self, row: usize, col: usize) {
+        self.positions.push((row as u32, col as u32));
+    }
+}
+
+/// The structure stream's outcome on `bytes`: its positions (sorted) on
+/// the streamed path, its matrix on the fallback, or its error.
+fn stream(bytes: &[u8]) -> Result<std::result::Result<Collecting, CooMatrix>> {
+    let mut sink = Collecting::default();
+    Ok(match io::stream_matrix_market(bytes, &mut sink)? {
+        StructureRead::Streamed => {
+            sink.positions.sort_unstable();
+            Ok(sink)
+        }
+        StructureRead::Collected(m) => Err(m),
+    })
+}
+
+/// Whether the structure stream takes the streamed path on `bytes`, a
+/// file that reads to a matrix, after [`check`] has held all four
+/// readers to the reference.
+fn streams(bytes: &[u8]) -> bool {
+    assert_eq!(check(bytes), Agreement::SameMatrix);
+    matches!(stream(bytes), Ok(Ok(_)))
+}
+
+/// Run the four readers on `bytes`; panic with the input on any
 /// difference.
 fn check(bytes: &[u8]) -> Agreement {
     let want = reference(bytes);
     let got = io::read_matrix_market(bytes);
     let structure = io::read_matrix_market_structure(bytes);
+    let streamed = stream(bytes);
     let input = || String::from_utf8_lossy(bytes).into_owned();
     let bits = |m: &CooMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let agreement = match (&want, &got) {
@@ -288,6 +333,29 @@ fn check(bytes: &[u8]) -> Agreement {
         (Err(w), Err(s)) => assert_eq!(w, s, "structure error differs on {:?}", input()),
         _ => panic!(
             "structure reader disagrees on {:?}:\nreference {want:?}\nstructure {structure:?}",
+            input()
+        ),
+    }
+    match (&structure, &streamed) {
+        // Sorted, the positions are the matrix's exactly when each came
+        // once: a repeat would leave the list longer.
+        (Ok(s), Ok(Ok(sink))) => {
+            let positions: Vec<(u32, u32)> = s
+                .row_indices()
+                .iter()
+                .copied()
+                .zip(s.col_indices().iter().copied())
+                .collect();
+            assert!(
+                sink.shape == Some((s.nrows(), s.ncols())) && sink.positions == positions,
+                "streamed positions differ on {:?}:\nstructure {s:?}\nstreamed  {sink:?}",
+                input()
+            );
+        }
+        (Ok(s), Ok(Err(m))) => assert_eq!(s, m, "fallback differs on {:?}", input()),
+        (Err(s), Err(g)) => assert_eq!(s, g, "stream error differs on {:?}", input()),
+        _ => panic!(
+            "structure stream disagrees on {:?}:\nstructure {structure:?}\nstream    {streamed:?}",
             input()
         ),
     }
@@ -478,7 +546,7 @@ fn poison_comment(rng: &mut StdRng, bytes: Vec<u8>) -> Vec<u8> {
 #[test]
 fn seeded_inputs_and_mutations_read_identically() {
     let mut rng = StdRng::seed_from_u64(0x6d74_785f_7061_7269);
-    let (mut matrices, mut errors) = (0usize, 0usize);
+    let (mut matrices, mut errors, mut streamed) = (0usize, 0usize, 0usize);
     for case in 0..30_000u32 {
         let text = generate(&mut rng);
         let input = match case % 4 {
@@ -490,13 +558,60 @@ fn seeded_inputs_and_mutations_read_identically() {
             Agreement::SameMatrix => matrices += 1,
             Agreement::SameError => errors += 1,
         }
+        streamed += usize::from(matches!(stream(&input), Ok(Ok(_))));
     }
-    // Both outcomes must be well exercised, or the suite proves little.
+    // Every outcome must be well exercised, or the suite proves little.
     assert!(matrices > 5_000, "only {matrices} inputs parsed");
     assert!(errors > 5_000, "only {errors} inputs failed");
-    eprintln!("{matrices} identical matrices, {errors} identical errors");
+    assert!(streamed > 2_000, "only {streamed} inputs streamed");
+    assert!(
+        matrices - streamed > 2_000,
+        "only {} inputs fell back",
+        matrices - streamed
+    );
+    eprintln!("{matrices} identical matrices ({streamed} streamed), {errors} identical errors");
 }
 
+/// `entries` as a Matrix Market file with the given header, in the
+/// order given.
+fn render(kind: &str, symmetry: &str, m: &CooMatrix, entries: &[(usize, usize, f64)]) -> String {
+    let mut text = format!(
+        "%%MatrixMarket matrix coordinate {kind} {symmetry}\n{} {} {}\n",
+        m.nrows(),
+        m.ncols(),
+        entries.len()
+    );
+    for &(r, c, v) in entries {
+        match kind {
+            "pattern" => text.push_str(&format!("{} {}\n", r + 1, c + 1)),
+            "integer" => text.push_str(&format!("{} {} {}\n", r + 1, c + 1, v.round())),
+            _ => text.push_str(&format!("{} {} {:.17e}\n", r + 1, c + 1, v)),
+        }
+    }
+    text
+}
+
+/// `m`'s entries in `order`: all of them for a `general` file, the lower
+/// triangle for a mirrored one.
+fn ordered(m: &CooMatrix, symmetry: &str, order: Order, seed: u64) -> Vec<(usize, usize, f64)> {
+    let mut entries: Vec<(usize, usize, f64)> = m
+        .iter()
+        .filter(|&(r, c, _)| symmetry == "general" || r >= c)
+        .collect();
+    match order {
+        Order::RowMajor => {}
+        Order::ColMajor => entries.sort_by_key(|&(r, c, _)| (c, r)),
+        Order::Shuffled => entries.shuffle(&mut StdRng::seed_from_u64(seed)),
+    }
+    entries
+}
+
+/// Every reader agrees with the reference on every kind, symmetry and
+/// order, and the order picks the stream's path. Row-major `general` and
+/// `pattern` files and lower-triangle mirrored files stream.
+/// Column-major and shuffled files, upper-triangle mirrored files, and a
+/// row-major file whose last two entries are swapped, so that the order
+/// proof fails only at the last entry, fall back to the structure reader.
 #[test]
 fn every_kind_symmetry_and_order_reads_identically_on_generated_matrices() {
     for (seed, m) in [
@@ -505,38 +620,33 @@ fn every_kind_symmetry_and_order_reads_identically_on_generated_matrices() {
         gen::banded(50, 3, 0.7, 3),
         gen::random_uniform(30, 45, 4, 4),
     ]
-    .into_iter()
+    .iter()
     .enumerate()
     {
         for kind in KINDS {
             for symmetry in SYMMETRIES {
                 for order in [Order::RowMajor, Order::ColMajor, Order::Shuffled] {
-                    let mut entries: Vec<(usize, usize, f64)> = m
-                        .iter()
-                        .filter(|&(r, c, _)| symmetry == "general" || r >= c)
-                        .collect();
-                    match order {
-                        Order::RowMajor => {}
-                        Order::ColMajor => entries.sort_by_key(|&(r, c, _)| (c, r)),
-                        Order::Shuffled => entries.shuffle(&mut StdRng::seed_from_u64(seed as u64)),
-                    }
-                    let mut text = format!(
-                        "%%MatrixMarket matrix coordinate {kind} {symmetry}\n{} {} {}\n",
-                        m.nrows(),
-                        m.ncols(),
-                        entries.len()
+                    let entries = ordered(m, symmetry, order, seed as u64);
+                    assert_eq!(
+                        streams(render(kind, symmetry, m, &entries).as_bytes()),
+                        matches!(order, Order::RowMajor),
+                        "{kind} {symmetry} {order:?}, matrix {seed}"
                     );
-                    for (r, c, v) in entries {
-                        match kind {
-                            "pattern" => text.push_str(&format!("{} {}\n", r + 1, c + 1)),
-                            "integer" => {
-                                text.push_str(&format!("{} {} {}\n", r + 1, c + 1, v.round()))
-                            }
-                            _ => text.push_str(&format!("{} {} {:.17e}\n", r + 1, c + 1, v)),
-                        }
-                    }
-                    check(text.as_bytes());
                 }
+                let mut entries = ordered(m, symmetry, Order::RowMajor, 0);
+                if symmetry == "general" {
+                    let n = entries.len();
+                    entries.swap(n - 2, n - 1);
+                } else {
+                    entries = m
+                        .iter()
+                        .filter(|&(r, c, _)| r <= c && c < m.nrows())
+                        .collect();
+                }
+                assert!(
+                    !streams(render(kind, symmetry, m, &entries).as_bytes()),
+                    "{kind} {symmetry} swapped or upper, matrix {seed}"
+                );
             }
         }
     }

@@ -44,7 +44,8 @@ use spsel_core::{DecisionPhaseNs, ShardedOnlineSelector};
 use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats, NUM_FEATURES};
 use spsel_gpusim::cost::ConversionCostModel;
 use spsel_gpusim::{predict_times, predict_workload_times, Gpu};
-use spsel_matrix::{io, CsrMatrix, Format, FormatRegistry, SpMv, Workload};
+use spsel_matrix::io::{self, StructureRead, StructureSink};
+use spsel_matrix::{CsrMatrix, Format, FormatRegistry, SpMv, Workload};
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,9 +54,10 @@ use std::time::Instant;
 
 thread_local! {
     /// Per-thread single-pass feature extractor: its scratch (row-count
-    /// table, column histogram, diagonal census stamps) is reused across
-    /// requests, so steady-state featurization of a matrix allocates
-    /// nothing beyond the matrix itself.
+    /// table, row-count histogram, diagonal census stamps) is reused
+    /// across requests, so steady-state featurization of a streamed file
+    /// allocates nothing per row or entry: only the file's bytes and its
+    /// parsed header.
     static EXTRACTOR: RefCell<FeatureExtractor> = RefCell::new(FeatureExtractor::new());
 }
 
@@ -448,19 +450,15 @@ impl Engine {
     }
 
     /// [`Self::resolve_features`] plus the nanoseconds spent in feature
-    /// extraction proper (the single-pass walk over the CSR form — file
-    /// IO and format conversion are excluded; 0 for inline vectors).
+    /// extraction proper: for a matrix file, the extractor's walks after
+    /// the read (see [`matrix_stats`]); 0 for inline vectors.
     fn resolve_features_timed(
         &self,
         body: &SelectBody,
     ) -> Result<(FeatureVector, MatrixStats, u64), ServeError> {
         if let Some(path) = &body.matrix {
-            let csr = read_matrix_structure(path)?;
-            let start = Instant::now();
-            let stats = EXTRACTOR.with(|ex| ex.borrow_mut().stats(&csr));
-            let fv = FeatureVector::from_stats(&stats);
-            let extract_ns = start.elapsed().as_nanos() as u64;
-            return Ok((fv, stats, extract_ns));
+            let (stats, extract_ns) = matrix_stats(path)?;
+            return Ok((FeatureVector::from_stats(&stats), stats, extract_ns));
         }
         if let Some(values) = &body.features {
             if values.len() != NUM_FEATURES {
@@ -1063,34 +1061,83 @@ fn install_checkpoint(model: &ModelState, checkpoint: &journal::Checkpoint) {
 ///
 /// It is set by a memory budget. Reading a file allocates per entry, but
 /// selecting on it also allocates per declared row and column however
-/// few entries there are: 8 B of CSR row pointer and 8 B of extractor
-/// row count per row, and 4 B of diagonal stamp per row and per column.
-/// That is at most 24 B per unit of the larger dimension, so a shape at
-/// the cap costs one request at most 384 MiB, of which the worker's
-/// extractor keeps 256 MiB of scratch for later requests. Without a cap,
-/// the 70-byte `4000000000 4000000000 0` (0 entries, indices within
-/// `u32`) aborts the process on a 32 GB allocation.
+/// few entries there are. A streamed select (see [`matrix_stats`])
+/// builds no COO or CSR form: it needs 8 B of extractor row count and
+/// 4 B of diagonal stamp per row, plus 4 B of stamp per column, so at
+/// most 16 B per unit of the larger dimension, or 256 MiB for a shape at
+/// the cap, all of it extractor scratch the worker keeps for later
+/// requests. A file whose entry order takes the fallback also builds
+/// the CSR form, 8 B of row pointer per row more: at most 384 MiB at
+/// the cap. Without a cap, the 70-byte `4000000000 4000000000 0`
+/// (0 entries, indices within `u32`) aborts the process on a 32 GB
+/// allocation.
 pub const MAX_MATRIX_DIM: usize = 1 << 24;
 
-/// Read a Matrix Market file into the CSR form feature extraction walks.
-/// Every Table 1 feature is a property of the sparsity pattern, so only
-/// the structure is read (values are validated, not converted). A shape
-/// past [`MAX_MATRIX_DIM`] is refused before any per-row allocation.
-pub fn read_matrix_structure(path: &str) -> Result<CsrMatrix, ServeError> {
-    let coo = io::read_matrix_market_structure_file(path).map_err(|e| ServeError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })?;
-    let (nrows, ncols) = (coo.nrows(), coo.ncols());
-    if nrows > MAX_MATRIX_DIM || ncols > MAX_MATRIX_DIM {
-        return Err(ServeError::TooLarge {
-            path: path.to_string(),
-            nrows,
-            ncols,
-            max: MAX_MATRIX_DIM,
-        });
+/// The thread's extractor as the sink of a Matrix Market read, declining
+/// any shape past [`MAX_MATRIX_DIM`] so that nothing is sized per row or
+/// column for it.
+struct CappedExtractor<'a>(&'a mut FeatureExtractor);
+
+impl StructureSink for CappedExtractor<'_> {
+    fn begin(&mut self, nrows: usize, ncols: usize) -> bool {
+        nrows <= MAX_MATRIX_DIM && ncols <= MAX_MATRIX_DIM && self.0.begin(nrows, ncols)
     }
-    Ok(CsrMatrix::from(&coo))
+
+    #[inline]
+    fn position(&mut self, row: usize, col: usize) {
+        self.0.position(row, col);
+    }
+}
+
+/// Read a Matrix Market file and compute its [`MatrixStats`]: the one
+/// featurization behind every `matrix` select and the `select` CLI.
+///
+/// Every Table 1 feature is a property of the sparsity pattern, so only
+/// the structure is read (values are validated, not converted). The
+/// file's positions stream straight into the thread's
+/// [`FeatureExtractor`], with no COO or CSR form, whenever the entry
+/// order proves them distinct (see [`io::stream_matrix_market`]); any
+/// other file is read into a matrix, converted to CSR and extracted from
+/// that, with the same stats or the same error. A shape past
+/// [`MAX_MATRIX_DIM`] is `too_large`, once the file has read without
+/// error, and nothing is allocated per row for it.
+///
+/// Returns the stats and the nanoseconds of the extractor's walks after
+/// the read: the aggregate walks over the row counts for a streamed
+/// file, the walks over the CSR form otherwise.
+pub fn matrix_stats(path: &str) -> Result<(MatrixStats, u64), ServeError> {
+    EXTRACTOR.with(|ex| {
+        let ex = &mut *ex.borrow_mut();
+        let read = io::stream_matrix_market_file(path, &mut CappedExtractor(ex)).map_err(|e| {
+            ServeError::Io {
+                path: path.to_string(),
+                message: e.to_string(),
+            }
+        })?;
+        Ok(match read {
+            StructureRead::Streamed => timed(|| ex.finish()),
+            StructureRead::Collected(coo) => {
+                let (nrows, ncols) = (coo.nrows(), coo.ncols());
+                if nrows > MAX_MATRIX_DIM || ncols > MAX_MATRIX_DIM {
+                    return Err(ServeError::TooLarge {
+                        path: path.to_string(),
+                        nrows,
+                        ncols,
+                        max: MAX_MATRIX_DIM,
+                    });
+                }
+                let csr = CsrMatrix::from(&coo);
+                timed(|| ex.stats(&csr))
+            }
+        })
+    })
+}
+
+/// `f`'s result and the nanoseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_nanos() as u64)
 }
 
 /// Deterministic measurement-noise seed for a matrix: an FNV-1a hash of

@@ -154,17 +154,25 @@ grep -q '"decision_assign_ns":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_label_ns":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_p50_us":' "$SMOKE_DIR/r-stats.json"
 grep -q '"decision_p99_us":' "$SMOKE_DIR/r-stats.json"
-# One symmetric matrix written three ways — `real general` row-major with
-# LF, column-major with CRLF and comments, and `real symmetric` (lower
-# triangle) — must read to the same matrix: the daemon's JSON replies
-# for the three files are byte-identical.
+# One symmetric matrix written five ways — `real general` row-major with
+# LF, column-major with CRLF and comments, `real symmetric` (lower
+# triangle), `real symmetric` upper triangle, and row-major with its last
+# two entries swapped — must read to the same matrix: the daemon's JSON
+# replies for the five files are byte-identical. The row-major and lower
+# triangle files stream into the extractor; the column-major, the
+# upper-triangle and the swapped file (whose order proof fails only at
+# its last entry) take the fallback.
 printf '%%%%MatrixMarket matrix coordinate real general\n4 4 10\n1 1 4.0\n1 2 1.0\n1 4 2.0\n2 1 1.0\n2 2 5.0\n3 3 6.0\n3 4 3.0\n4 1 2.0\n4 3 3.0\n4 4 7.0\n' \
     > "$SMOKE_DIR/sym-rows.mtx"
 printf '%%%%MatrixMarket matrix coordinate real general\r\n%% column-major\r\n4 4 10\r\n1 1 4.0\r\n2 1 1.0\r\n4 1 2.0\r\n%% column 2\r\n1 2 1.0\r\n2 2 5.0\r\n3 3 6.0\r\n4 3 3.0\r\n1 4 2.0\r\n3 4 3.0\r\n4 4 7.0\r\n' \
     > "$SMOKE_DIR/sym-cols.mtx"
 printf '%%%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n1 1 4.0\n2 1 1.0\n2 2 5.0\n3 3 6.0\n4 1 2.0\n4 3 3.0\n4 4 7.0\n' \
     > "$SMOKE_DIR/sym-lower.mtx"
-for f in sym-rows sym-cols sym-lower; do
+printf '%%%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n1 1 4.0\n1 2 1.0\n1 4 2.0\n2 2 5.0\n3 3 6.0\n3 4 3.0\n4 4 7.0\n' \
+    > "$SMOKE_DIR/sym-upper.mtx"
+printf '%%%%MatrixMarket matrix coordinate real general\n4 4 10\n1 1 4.0\n1 2 1.0\n1 4 2.0\n2 1 1.0\n2 2 5.0\n3 3 6.0\n3 4 3.0\n4 1 2.0\n4 4 7.0\n4 3 3.0\n' \
+    > "$SMOKE_DIR/sym-lastswap.mtx"
+for f in sym-rows sym-cols sym-lower sym-upper sym-lastswap; do
     ./target/release/spsel request "$ADDR" \
         "{\"Select\":{\"matrix\":\"$SMOKE_DIR/$f.mtx\",\"features\":null,\"gpu\":\"pascal\",\"iterations\":500,\"deadline_ms\":null,\"learn\":false}}" \
         > "$SMOKE_DIR/r-$f.json"
@@ -172,15 +180,19 @@ done
 grep -q '"ok":true' "$SMOKE_DIR/r-sym-rows.json"
 cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-cols.json"
 cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-lower.json"
-# The select CLI reads the three files to the same matrix and decision
+cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-upper.json"
+cmp "$SMOKE_DIR/r-sym-rows.json" "$SMOKE_DIR/r-sym-lastswap.json"
+# The select CLI reads the five files to the same matrix and decision
 # too (its first line names the file, so the path is masked).
-for f in sym-rows sym-cols sym-lower; do
+for f in sym-rows sym-cols sym-lower sym-upper sym-lastswap; do
     ./target/release/select "$SMOKE_DIR/$f.mtx" --model "$SMOKE_DIR/model.spsel" 2>/dev/null \
         | sed "s|$SMOKE_DIR/$f.mtx|MATRIX|" > "$SMOKE_DIR/select-$f.txt"
 done
 grep -q 'Pascal' "$SMOKE_DIR/select-sym-rows.txt"
 cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-cols.txt"
 cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-lower.txt"
+cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-upper.txt"
+cmp "$SMOKE_DIR/select-sym-rows.txt" "$SMOKE_DIR/select-sym-lastswap.txt"
 # A 70-byte file declaring a 4e9 x 4e9 shape parses (0 entries), but its
 # CSR form would need 32 GB of row pointers. Declared shapes are capped
 # at MAX_MATRIX_DIM = 2^24 = 16777216 rows or columns: past the cap in

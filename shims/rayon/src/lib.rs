@@ -532,6 +532,17 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test that sets the shim's global worker or serial
+    /// override, so that no such test observes another one's setting.
+    static GLOBAL_OVERRIDES: Mutex<()> = Mutex::new(());
+
+    fn lock_overrides() -> MutexGuard<'static, ()> {
+        GLOBAL_OVERRIDES
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn map_collect_matches_serial() {
@@ -572,6 +583,7 @@ mod tests {
 
     #[test]
     fn thread_override_gives_identical_results() {
+        let _overrides = lock_overrides();
         let v: Vec<u64> = (0..8_192).collect();
         let base: Vec<u64> = v.par_iter().map(|&x| x.rotate_left(7) ^ x).collect();
         for workers in [1, 2, 4, 8] {
@@ -585,6 +597,7 @@ mod tests {
 
     #[test]
     fn serial_mode_gives_identical_results() {
+        let _overrides = lock_overrides();
         let v: Vec<u64> = (0..8_192).collect();
         let par: Vec<u64> = v.par_iter().map(|&x| x.wrapping_mul(x)).collect();
         super::set_serial(true);
