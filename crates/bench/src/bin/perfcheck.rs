@@ -17,12 +17,11 @@
 //! time, and a cold/warm demonstration of the per-table experiment cache
 //! (a warm Table 4 rerun must be served entirely from disk).
 //!
-//! Finally it profiles the serving decision path: the single-pass
-//! `FeatureExtractor` against the legacy multi-pass `MatrixStats` walk,
-//! the per-phase (embed / assign / label) nanosecond budget of a
-//! steady-state `learn: false` select, and an Elafrou-style per-feature
-//! cost table attributing each Table 1 feature to the extractor pass
-//! that pays for it.
+//! Finally it profiles the serving decision path: the warmed
+//! `FeatureExtractor`, the per-phase (embed / assign / label) nanosecond
+//! budget of a steady-state `learn: false` select, and an Elafrou-style
+//! per-feature cost table attributing each Table 1 feature to the
+//! extractor pass that pays for it.
 
 use spsel_bench::HarnessOptions;
 use spsel_core::cache::Cache;
@@ -240,13 +239,7 @@ fn main() {
     let n_probes = probes.len() as f64;
     let probe_nnz: usize = probes.iter().map(|m| m.nnz()).sum();
 
-    // Single-pass extractor vs the retained multi-pass path (the two are
-    // bit-identical; the property suite proves it, this measures it).
-    let legacy_ms = time_ms(|| {
-        for csr in &probes {
-            black_box(MatrixStats::from_csr(csr));
-        }
-    });
+    // The warmed extractor: the extract phase of a select.
     let mut extractor = FeatureExtractor::new();
     for csr in &probes {
         extractor.stats(csr); // size the scratch before timing
@@ -256,7 +249,6 @@ fn main() {
             black_box(extractor.stats(csr));
         }
     });
-    let extract_speedup = legacy_ms / single_ms;
     let extract_ns = single_ms * 1e6 / n_probes;
 
     // Per-pass kernels mirroring the extractor's three walks, timed over
@@ -430,12 +422,6 @@ fn main() {
          = {select_ns:.0}ns/select",
         online.n_clusters(),
     );
-    println!(
-        "single-pass extractor vs MatrixStats::from_csr: {extract_speedup:.2}x \
-         over {} probe matrices ({probe_nnz} nnz, avg {:.0}ns/matrix)",
-        probes.len(),
-        extract_ns,
-    );
     println!("feature budget (avg ns per probe matrix, pass cost shared by its features):");
     for fc in &feature_costs {
         println!(
@@ -446,9 +432,7 @@ fn main() {
     let decision_path = DecisionPathSummary {
         probe_matrices: probes.len(),
         probe_nnz,
-        legacy_extract_ns: legacy_ms * 1e6 / n_probes,
         single_pass_extract_ns: extract_ns,
-        extract_speedup,
         embed_ns,
         assign_ns,
         label_ns,
@@ -604,11 +588,8 @@ struct KernelCost {
 struct DecisionPathSummary {
     probe_matrices: usize,
     probe_nnz: usize,
-    /// Avg ns per matrix for the retained multi-pass `MatrixStats` walk.
-    legacy_extract_ns: f64,
     /// Avg ns per matrix for the warmed single-pass extractor.
     single_pass_extract_ns: f64,
-    extract_speedup: f64,
     /// Avg per-decision phase nanoseconds from `decide_phased` — the same
     /// counters the serving engine accumulates into its Stats reply.
     embed_ns: f64,

@@ -39,7 +39,7 @@ pub use error::{CoreError, CoreResult};
 pub use featsel::{greedy_forward_selection, FeatureSelection, SearchModel};
 pub use online::{
     ContentionReport, DecisionPhaseNs, OnlineContention, OnlineDecision, OnlineFeedbackView,
-    OnlineSelector, OnlineSnapshot, OnlineStateData, OnlineView, ShardedOnlineSelector,
+    OnlineSnapshot, OnlineStateData, OnlineView, ShardedOnlineSelector,
 };
 pub use overhead::{amortized_best, break_even_iterations, AmortizedChoice};
 pub use regression::TimeRegressor;

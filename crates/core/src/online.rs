@@ -3,24 +3,25 @@
 //! clustering-based approach by being able to learn from SpMV operations
 //! while they are being performed."
 //!
-//! [`OnlineSelector`] wraps the incremental K-Means extension with
+//! [`ShardedOnlineSelector`] wraps the incremental K-Means extension with
 //! per-cluster format labels and a benchmark queue: matrices stream in,
 //! join or open clusters, and the selector tells the caller which
 //! matrices are worth benchmarking (new or unlabeled clusters). Feeding
 //! back one measured label per new cluster keeps the selector current
 //! without ever refitting.
 //!
-//! [`ShardedOnlineSelector`] is the serving-grade concurrent variant
-//! built on a snapshot/delta design: read-only decisions are answered
-//! from an immutable, atomically-swappable [`OnlineSnapshot`] without
-//! ever touching a write lock, while mutations (`observe` centroid
-//! updates, `report_benchmark` labels) go through a small write side —
-//! one centroid lock that serializes observations (their running-mean
-//! updates are order-dependent) plus per-shard label locks so feedback
-//! on one cluster region never blocks feedback (or new-cluster
-//! bookkeeping) landing elsewhere. Every mutation publishes a fresh
-//! snapshot before its reply is produced, which is what keeps a
-//! single-client stream bit-identical to the serial [`OnlineSelector`].
+//! It is built for serving on a snapshot/delta design: read-only
+//! decisions are answered from an immutable, atomically-swappable
+//! [`OnlineSnapshot`] without ever touching a write lock, while mutations
+//! (observations' centroid updates, `report_benchmark` labels) go through
+//! a small write side — one centroid lock that serializes observations
+//! (their running-mean updates are order-dependent) plus per-shard label
+//! locks so feedback on one cluster region never blocks feedback (or
+//! new-cluster bookkeeping) landing elsewhere. Every mutation publishes a
+//! fresh snapshot before its reply is produced, so a single-client
+//! stream decides exactly as one serial selector would, at any shard
+//! count (`crates/core/tests/online.rs` proves it against a serial
+//! oracle).
 
 use crate::semi::SemiSupervisedSelector;
 use serde::{Deserialize, Serialize};
@@ -33,19 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-/// A streaming format selector built on incremental clustering.
-#[derive(Debug, Clone)]
-pub struct OnlineSelector {
-    preprocessor: Preprocessor,
-    clusters: OnlineKMeans,
-    /// Per-cluster format label (`None` until a benchmark arrives).
-    labels: Vec<Option<Format>>,
-    /// Fallback when a cluster has no label yet.
-    default: Format,
-    /// Observations since the last benchmark, per cluster (staleness).
-    unlabeled_observations: Vec<usize>,
-}
-
 /// The selector's answer for one streamed matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineDecision {
@@ -57,126 +45,8 @@ pub struct OnlineDecision {
     pub format: Format,
     /// Whether benchmarking this matrix would label an unlabeled cluster —
     /// the caller should measure it and call
-    /// [`OnlineSelector::report_benchmark`].
+    /// [`ShardedOnlineSelector::report_benchmark`].
     pub benchmark_requested: bool,
-}
-
-impl OnlineSelector {
-    /// Start from a fitted batch selector: the batch clustering seeds the
-    /// online centroids, its cluster labels carry over, and the batch
-    /// preprocessing pipeline is reused (transforms are corpus statistics,
-    /// stable enough to freeze).
-    ///
-    /// `distance_threshold` controls when a streamed matrix is novel
-    /// enough to open a new cluster; `max_clusters` bounds growth.
-    pub fn from_batch(
-        batch: &SemiSupervisedSelector,
-        distance_threshold: f64,
-        max_clusters: usize,
-    ) -> Self {
-        let clusters =
-            OnlineKMeans::from_clustering(batch.clustering(), distance_threshold, max_clusters);
-        let labels: Vec<Option<Format>> = batch.cluster_labels().iter().map(|&f| Some(f)).collect();
-        let n = labels.len();
-        OnlineSelector {
-            preprocessor: batch.preprocessor().clone(),
-            clusters,
-            labels,
-            default: Format::Csr,
-            unlabeled_observations: vec![0; n],
-        }
-    }
-
-    /// Current number of clusters.
-    pub fn n_clusters(&self) -> usize {
-        self.clusters.n_clusters()
-    }
-
-    /// Clusters still waiting for a benchmark label.
-    pub fn unlabeled_clusters(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_none()).count()
-    }
-
-    /// Stream one matrix: it joins (or opens) a cluster and receives that
-    /// cluster's format recommendation. The decision says whether the
-    /// caller should benchmark this matrix to label its cluster.
-    pub fn observe(&mut self, features: &FeatureVector) -> OnlineDecision {
-        let z = self.preprocessor.embed(features);
-        let (cluster, new_cluster) = self.clusters.observe(&z);
-        if new_cluster {
-            self.labels.push(None);
-            self.unlabeled_observations.push(0);
-        }
-        let benchmark_requested = self.labels[cluster].is_none();
-        if benchmark_requested {
-            self.unlabeled_observations[cluster] += 1;
-        }
-        OnlineDecision {
-            cluster,
-            new_cluster,
-            format: self.labels[cluster].unwrap_or(self.default),
-            benchmark_requested,
-        }
-    }
-
-    /// Predict without updating the model.
-    pub fn predict(&self, features: &FeatureVector) -> Format {
-        let z = self.preprocessor.embed(features);
-        let c = self.clusters.assign(&z);
-        self.labels[c].unwrap_or(self.default)
-    }
-
-    /// The full decision [`observe`](Self::observe) would make, without
-    /// updating the model: nearest cluster, its recommendation, and
-    /// whether that cluster still wants a benchmark. `new_cluster` is
-    /// always false — peeking never opens clusters.
-    pub fn peek(&self, features: &FeatureVector) -> OnlineDecision {
-        let z = self.preprocessor.embed(features);
-        let cluster = self.clusters.assign(&z);
-        OnlineDecision {
-            cluster,
-            new_cluster: false,
-            format: self.labels[cluster].unwrap_or(self.default),
-            benchmark_requested: self.labels[cluster].is_none(),
-        }
-    }
-
-    /// Distance from a matrix to its nearest centroid in the embedded
-    /// space — how novel the matrix looks to the current clustering.
-    pub fn novelty(&self, features: &FeatureVector) -> f64 {
-        self.clusters.novelty(&self.preprocessor.embed(features))
-    }
-
-    /// Observations absorbed by one cluster (seed mass plus streamed
-    /// members), or 0 for an out-of-range index.
-    pub fn cluster_count(&self, cluster: usize) -> usize {
-        self.clusters.counts().get(cluster).copied().unwrap_or(0)
-    }
-
-    /// Whether a cluster currently carries a benchmark-derived label.
-    pub fn is_labeled(&self, cluster: usize) -> bool {
-        self.labels
-            .get(cluster)
-            .map(|l| l.is_some())
-            .unwrap_or(false)
-    }
-
-    /// Feed back a measured best format for a matrix previously assigned
-    /// to `cluster` (typically in response to `benchmark_requested`).
-    /// Overwrites the cluster's label — the latest measurement wins, which
-    /// is the right policy when the deployment platform changes over time.
-    pub fn report_benchmark(&mut self, cluster: usize, best: Format) {
-        assert!(cluster < self.labels.len(), "cluster out of range");
-        self.labels[cluster] = Some(best);
-        self.unlabeled_observations[cluster] = 0;
-    }
-
-    /// Matrices observed in unlabeled clusters since their last benchmark —
-    /// a measure of how much prediction quality is degraded by missing
-    /// labels.
-    pub fn staleness(&self) -> usize {
-        self.unlabeled_observations.iter().sum()
-    }
 }
 
 /// One shard of the per-cluster label state. Cluster `c` lives in shard
@@ -397,11 +267,9 @@ pub struct OnlineStateData {
     pub unlabeled_observations: Vec<usize>,
 }
 
-/// Concurrent streaming selector: lock-free read decisions from an
-/// atomically-swapped snapshot, sharded write side for mutations. See
-/// the module docs for the locking design; sequential use is
-/// bit-identical to [`OnlineSelector`] (proved in
-/// `crates/core/tests/online.rs`).
+/// A streaming format selector built on incremental clustering:
+/// lock-free read decisions from an atomically-swapped snapshot, sharded
+/// write side for mutations. See the module docs for the locking design.
 #[derive(Debug)]
 pub struct ShardedOnlineSelector {
     preprocessor: Preprocessor,
@@ -417,9 +285,17 @@ pub struct ShardedOnlineSelector {
 }
 
 impl ShardedOnlineSelector {
-    /// Warm-start from a fitted batch selector, exactly like
-    /// [`OnlineSelector::from_batch`], with the label table split over
-    /// `shards` write shards (clamped to at least 1).
+    /// Start from a fitted batch selector: the batch clustering seeds the
+    /// online centroids, its cluster labels carry over (so the warm
+    /// start predicts exactly as the batch selector does and has no
+    /// unlabeled cluster), and the batch preprocessing pipeline is reused
+    /// (transforms are corpus statistics, stable enough to freeze).
+    /// Unlabeled clusters recommend CSR.
+    ///
+    /// `distance_threshold` controls when a streamed matrix is novel
+    /// enough to open a new cluster; `max_clusters` bounds growth. The
+    /// label table is split over `shards` write shards (clamped to at
+    /// least 1).
     pub fn from_batch(
         batch: &SemiSupervisedSelector,
         distance_threshold: f64,
@@ -499,12 +375,21 @@ impl ShardedOnlineSelector {
         next
     }
 
-    /// Answer one streamed matrix. `learn: false` is the read path: the
-    /// decision [`OnlineSelector::peek`] would make, served entirely from
-    /// the current snapshot without acquiring any write lock. `learn:
-    /// true` is the write path: [`OnlineSelector::observe`] semantics,
-    /// serialized with other observes and published as a fresh snapshot
-    /// before this method returns.
+    /// Answer one streamed matrix.
+    ///
+    /// `learn: false` is the read path, served entirely from the current
+    /// snapshot without acquiring any write lock and without moving the
+    /// model: the nearest cluster, its label (CSR while unlabeled),
+    /// whether it still wants a benchmark, and never a new cluster.
+    ///
+    /// `learn: true` is the write path: the matrix joins its nearest
+    /// cluster (moving that centroid) or, when farther than the distance
+    /// threshold and below the cluster cap, opens a new unlabeled one.
+    /// A matrix landing in an unlabeled cluster requests a benchmark and
+    /// adds one to the staleness. Observes are serialized with each
+    /// other and published as a fresh snapshot before this method
+    /// returns; `distance` is the pre-observation distance to the
+    /// nearest centroid.
     pub fn decide(&self, features: &FeatureVector, learn: bool) -> OnlineView {
         self.decide_phased(features, learn).0
     }
@@ -783,7 +668,7 @@ mod tests {
     #[test]
     fn warm_start_preserves_batch_predictions() {
         let (batch, features) = batch_selector();
-        let online = OnlineSelector::from_batch(&batch, 0.5, 32);
+        let online = ShardedOnlineSelector::from_batch(&batch, 0.5, 32, 3);
         for f in &features {
             assert_eq!(online.predict(f), batch.predict(f));
         }
@@ -793,11 +678,11 @@ mod tests {
     #[test]
     fn novel_family_requests_benchmark_then_uses_it() {
         let (batch, _) = batch_selector();
-        let mut online = OnlineSelector::from_batch(&batch, 0.3, 32);
+        let online = ShardedOnlineSelector::from_batch(&batch, 0.3, 32, 3);
         // A family the batch never saw: huge row-skewed matrices.
         let novel =
             FeatureVector::from_csr(&CsrMatrix::from(&gen::bimodal(2000, 2000, 3, 40, 0.3, 8)));
-        let d = online.observe(&novel);
+        let d = online.decide(&novel, true).decision;
         if d.new_cluster {
             assert!(
                 d.benchmark_requested,
@@ -849,7 +734,7 @@ mod tests {
     #[test]
     fn staleness_counts_unlabeled_observations() {
         let (batch, _) = batch_selector();
-        let mut online = OnlineSelector::from_batch(&batch, 0.05, 64);
+        let online = ShardedOnlineSelector::from_batch(&batch, 0.05, 64, 3);
         let mut requested = 0;
         for s in 0..10u64 {
             let f = FeatureVector::from_csr(&CsrMatrix::from(&gen::multi_diagonal(
@@ -857,13 +742,14 @@ mod tests {
                 7,
                 s,
             )));
-            let d = online.observe(&f);
+            let d = online.decide(&f, true).decision;
             requested += d.benchmark_requested as usize;
         }
         assert_eq!(online.staleness(), requested);
         // Labeling every unlabeled cluster clears the staleness.
+        let snap = online.snapshot();
         let unlabeled: Vec<usize> = (0..online.n_clusters())
-            .filter(|&c| online.labels[c].is_none())
+            .filter(|&c| !snap.is_labeled(c))
             .collect();
         for c in unlabeled {
             online.report_benchmark(c, Format::Ell);

@@ -23,55 +23,15 @@ pub struct AmortizedChoice {
     pub csr_total_us: f64,
 }
 
-/// Pick the format minimizing `conversion + iterations * kernel_time`,
-/// starting from CSR (the storage format matrices arrive in).
-///
-/// Infeasible (out-of-memory) formats are never chosen.
-///
-/// ```
-/// use spsel_core::overhead::amortized_best;
-/// use spsel_gpusim::{cost::ConversionCostModel, SpmvTimes};
-/// use spsel_matrix::Format;
-/// // HYB is 2x faster per SpMV but costs 147 CSR-SpMVs to build.
-/// let times = SpmvTimes { us: [30.0, 10.0, 25.0, 5.0] };
-/// let conv = ConversionCostModel::default();
-/// assert_eq!(amortized_best(&times, &conv, 1).format, Format::Csr);
-/// assert_eq!(amortized_best(&times, &conv, 100_000).format, Format::Hyb);
-/// ```
-pub fn amortized_best(
-    times: &SpmvTimes,
-    conv: &ConversionCostModel,
-    iterations: usize,
-) -> AmortizedChoice {
-    let csr_spmv = times.get(Format::Csr);
-    let total = |f: Format| -> f64 {
-        let t = times.get(f);
-        if !t.is_finite() || !csr_spmv.is_finite() {
-            return f64::INFINITY;
-        }
-        conv.relative(f) * csr_spmv + iterations as f64 * t
-    };
-    let csr_total = total(Format::Csr);
-    let (format, total_us) = Format::ALL
-        .into_iter()
-        .map(|f| (f, total(f)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("four formats");
-    AmortizedChoice {
-        format,
-        total_us,
-        csr_total_us: csr_total,
-    }
-}
-
-/// [`amortized_best`] generalized to any workload and format set: pick
-/// the format in `formats` minimizing `conversion + iterations * kernel`,
-/// where kernel times come from a [`WorkloadTimes`] table (SpMV or SpMM)
-/// and conversion is still priced in CSR-SpMV-equivalents, with the CSR
-/// entry of `times` standing in for one "unit" of work.
+/// Pick the format of `formats` minimizing `conversion + iterations *
+/// kernel`, starting from CSR (the storage format matrices arrive in).
+/// Kernel times come from a [`WorkloadTimes`] table (SpMV or SpMM);
+/// conversion is priced in CSR-SpMV-equivalents, with the CSR entry of
+/// `times` standing in for one "unit" of work.
 ///
 /// `formats` must contain [`Format::Csr`] (every registry does); entries
-/// absent from `formats` are never chosen even if `times` has them.
+/// absent from `formats` are never chosen even if `times` has them, and
+/// infeasible (out-of-memory) formats are never chosen.
 pub fn amortized_best_workload(
     times: &WorkloadTimes,
     formats: &[Format],
@@ -99,31 +59,12 @@ pub fn amortized_best_workload(
     }
 }
 
-/// [`break_even_iterations`] over a [`WorkloadTimes`] table: the smallest
-/// number of workload invocations after which converting from CSR pays
-/// off, or `None` if `format` is never faster than CSR (or infeasible).
+/// The break-even iteration count for `format`: the smallest number of
+/// workload invocations after which converting from CSR pays off, or
+/// `None` if the format is never faster than CSR (or does not fit in
+/// memory).
 pub fn break_even_iterations_workload(
     times: &WorkloadTimes,
-    conv: &ConversionCostModel,
-    format: Format,
-) -> Option<usize> {
-    let csr = times.get(Format::Csr);
-    if format == Format::Csr {
-        return csr.is_finite().then_some(0);
-    }
-    let t = times.get(format);
-    if !t.is_finite() || !csr.is_finite() || t >= csr {
-        return None;
-    }
-    let n = (conv.relative(format) * csr / (csr - t)).ceil();
-    Some(n as usize)
-}
-
-/// The break-even iteration count for `format`: the smallest number of
-/// SpMV calls after which converting from CSR pays off, or `None` if the
-/// format is never faster than CSR (or does not fit in memory).
-pub fn break_even_iterations(
-    times: &SpmvTimes,
     conv: &ConversionCostModel,
     format: Format,
 ) -> Option<usize> {
@@ -140,27 +81,33 @@ pub fn break_even_iterations(
     Some(n as usize)
 }
 
-/// Sweep iteration counts and report where the amortized choice flips —
-/// the crossover structure an overhead-conscious selector exposes.
-pub fn choice_crossovers(
+/// [`amortized_best_workload`] over the four CUSP SpMV formats.
+///
+/// ```
+/// use spsel_core::overhead::amortized_best;
+/// use spsel_gpusim::{cost::ConversionCostModel, SpmvTimes};
+/// use spsel_matrix::Format;
+/// // HYB is 2x faster per SpMV but costs 147 CSR-SpMVs to build.
+/// let times = SpmvTimes { us: [30.0, 10.0, 25.0, 5.0] };
+/// let conv = ConversionCostModel::default();
+/// assert_eq!(amortized_best(&times, &conv, 1).format, Format::Csr);
+/// assert_eq!(amortized_best(&times, &conv, 100_000).format, Format::Hyb);
+/// ```
+pub fn amortized_best(
     times: &SpmvTimes,
     conv: &ConversionCostModel,
-    max_iterations: usize,
-) -> Vec<(usize, Format)> {
-    let mut out = Vec::new();
-    let mut last: Option<Format> = None;
-    let mut n = 1usize;
-    while n <= max_iterations {
-        let choice = amortized_best(times, conv, n).format;
-        if last != Some(choice) {
-            out.push((n, choice));
-            last = Some(choice);
-        }
-        // Exponential sweep with fill-in around decade boundaries keeps
-        // this cheap while catching every flip of a monotone rule.
-        n = (n + n / 4).max(n + 1);
-    }
-    out
+    iterations: usize,
+) -> AmortizedChoice {
+    amortized_best_workload(&times.into(), &Format::ALL, conv, iterations)
+}
+
+/// [`break_even_iterations_workload`] over a four-format SpMV table.
+pub fn break_even_iterations(
+    times: &SpmvTimes,
+    conv: &ConversionCostModel,
+    format: Format,
+) -> Option<usize> {
+    break_even_iterations_workload(&times.into(), conv, format)
 }
 
 #[cfg(test)]
@@ -222,38 +169,6 @@ mod tests {
         assert_eq!(break_even_iterations(&t, &conv(), Format::Ell), None);
         let c = amortized_best(&t, &conv(), 100_000);
         assert_ne!(c.format, Format::Ell);
-    }
-
-    #[test]
-    fn crossovers_are_monotone_in_speed() {
-        let t = times([8.0, 10.0, 25.0, 5.0]);
-        let flips = choice_crossovers(&t, &conv(), 1_000_000);
-        // Starts at CSR, eventually lands on the fastest format.
-        assert_eq!(flips.first().unwrap().1, Format::Csr);
-        assert_eq!(flips.last().unwrap().1, Format::Hyb);
-        // Iteration counts strictly increase.
-        assert!(flips.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn workload_amortized_matches_spmv_rule_on_default_formats() {
-        // Same numbers routed through the workload-generic helper must
-        // reproduce the SpMV-specific rule exactly.
-        let t = times([30.0, 10.0, 25.0, 5.0]);
-        let mut us = [f64::INFINITY; Format::UNIVERSE_COUNT];
-        us[..4].copy_from_slice(&t.us);
-        let wt = WorkloadTimes { us };
-        for iters in [1usize, 100, 294, 10_000] {
-            let a = amortized_best(&t, &conv(), iters);
-            let b = amortized_best_workload(&wt, &Format::ALL, &conv(), iters);
-            assert_eq!(a.format, b.format, "iters={iters}");
-            assert_eq!(a.total_us, b.total_us);
-            assert_eq!(a.csr_total_us, b.csr_total_us);
-        }
-        assert_eq!(
-            break_even_iterations(&t, &conv(), Format::Hyb),
-            break_even_iterations_workload(&wt, &conv(), Format::Hyb),
-        );
     }
 
     #[test]

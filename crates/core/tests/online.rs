@@ -1,13 +1,107 @@
-//! Behavioural tests for the [`OnlineSelector`] as the serving layer uses
-//! it: deterministic streaming, benchmark prioritization for unlabeled
-//! clusters, the feedback-then-redecide loop — and bit-identical
-//! equivalence between the serial selector and the concurrent
-//! [`ShardedOnlineSelector`] the engine serves from.
+//! Behavioural tests for the [`ShardedOnlineSelector`] as the serving
+//! layer uses it: deterministic streaming, benchmark prioritization for
+//! unlabeled clusters, the feedback-then-redecide loop — and
+//! bit-identical equivalence between it and [`OnlineSelector`], a
+//! serial selector kept here as the oracle of its semantics.
 
 use spsel_core::semi::{ClusterMethod, Labeler, SemiConfig, SemiSupervisedSelector};
-use spsel_core::{OnlineDecision, OnlineSelector, ShardedOnlineSelector};
-use spsel_features::FeatureVector;
+use spsel_core::{OnlineDecision, ShardedOnlineSelector};
+use spsel_features::{FeatureVector, Preprocessor};
 use spsel_matrix::{gen, CsrMatrix, Format};
+use spsel_ml::cluster::online::OnlineKMeans;
+
+/// The serial streaming selector: incremental K-Means over the batch
+/// selector's embedding, one optional label per cluster, and a
+/// per-cluster count of observations since the last benchmark. The
+/// sharded selector must decide exactly as this one does.
+struct OnlineSelector {
+    preprocessor: Preprocessor,
+    clusters: OnlineKMeans,
+    /// Per-cluster format label (`None` until a benchmark arrives).
+    labels: Vec<Option<Format>>,
+    /// Observations since the last benchmark, per cluster (staleness).
+    unlabeled_observations: Vec<usize>,
+}
+
+impl OnlineSelector {
+    /// Seed the online centroids with the batch clustering; its labels
+    /// carry over and its preprocessing is reused.
+    fn from_batch(
+        batch: &SemiSupervisedSelector,
+        distance_threshold: f64,
+        max_clusters: usize,
+    ) -> Self {
+        let clusters =
+            OnlineKMeans::from_clustering(batch.clustering(), distance_threshold, max_clusters);
+        let labels: Vec<Option<Format>> = batch.cluster_labels().iter().map(|&f| Some(f)).collect();
+        let n = labels.len();
+        OnlineSelector {
+            preprocessor: batch.preprocessor().clone(),
+            clusters,
+            labels,
+            unlabeled_observations: vec![0; n],
+        }
+    }
+
+    fn n_clusters(&self) -> usize {
+        self.clusters.n_clusters()
+    }
+
+    fn unlabeled_clusters(&self) -> usize {
+        self.labels.iter().filter(|l| l.is_none()).count()
+    }
+
+    fn decision(&self, cluster: usize, new_cluster: bool) -> OnlineDecision {
+        OnlineDecision {
+            cluster,
+            new_cluster,
+            format: self.labels[cluster].unwrap_or(Format::Csr),
+            benchmark_requested: self.labels[cluster].is_none(),
+        }
+    }
+
+    /// Join (or open) a cluster and take its recommendation.
+    fn observe(&mut self, features: &FeatureVector) -> OnlineDecision {
+        let z = self.preprocessor.embed(features);
+        let (cluster, new_cluster) = self.clusters.observe(&z);
+        if new_cluster {
+            self.labels.push(None);
+            self.unlabeled_observations.push(0);
+        }
+        if self.labels[cluster].is_none() {
+            self.unlabeled_observations[cluster] += 1;
+        }
+        self.decision(cluster, new_cluster)
+    }
+
+    /// The nearest cluster's recommendation, without updating the model.
+    fn peek(&self, features: &FeatureVector) -> OnlineDecision {
+        let cluster = self.clusters.assign(&self.preprocessor.embed(features));
+        self.decision(cluster, false)
+    }
+
+    fn novelty(&self, features: &FeatureVector) -> f64 {
+        self.clusters.novelty(&self.preprocessor.embed(features))
+    }
+
+    fn cluster_count(&self, cluster: usize) -> usize {
+        self.clusters.counts().get(cluster).copied().unwrap_or(0)
+    }
+
+    fn is_labeled(&self, cluster: usize) -> bool {
+        self.labels.get(cluster).is_some_and(|l| l.is_some())
+    }
+
+    /// The latest measurement wins.
+    fn report_benchmark(&mut self, cluster: usize, best: Format) {
+        self.labels[cluster] = Some(best);
+        self.unlabeled_observations[cluster] = 0;
+    }
+
+    fn staleness(&self) -> usize {
+        self.unlabeled_observations.iter().sum()
+    }
+}
 
 /// A small two-family batch training set: regular stencils (ELL-friendly)
 /// and power-law matrices (CSR-friendly).
@@ -70,12 +164,12 @@ fn stream() -> Vec<FeatureVector> {
 #[test]
 fn identical_streams_produce_identical_decision_sequences() {
     let batch = batch_selector();
-    let mut a = OnlineSelector::from_batch(&batch, 0.3, 64);
-    let mut b = OnlineSelector::from_batch(&batch, 0.3, 64);
+    let a = ShardedOnlineSelector::from_batch(&batch, 0.3, 64, 1);
+    let b = ShardedOnlineSelector::from_batch(&batch, 0.3, 64, 4);
     let mut decisions: Vec<OnlineDecision> = Vec::new();
     for fv in &stream() {
-        let da = a.observe(fv);
-        let db = b.observe(fv);
+        let da = a.decide(fv, true).decision;
+        let db = b.decide(fv, true).decision;
         assert_eq!(da, db, "divergent decision at step {}", decisions.len());
         decisions.push(da);
     }
@@ -88,22 +182,22 @@ fn identical_streams_produce_identical_decision_sequences() {
     );
 }
 
-/// `peek` is the read-only twin of `observe`: it reports the same
-/// cluster, format, and benchmark request the next `observe` will make,
-/// and repeated peeks never move the model.
+/// A read decision is the read-only twin of a learning one: it reports
+/// the same cluster, format, and benchmark request the next learning
+/// decision will make, and repeated reads never move the model.
 #[test]
-fn peek_matches_observe_without_mutating() {
+fn read_decisions_match_learning_ones_without_mutating() {
     let batch = batch_selector();
-    let mut online = OnlineSelector::from_batch(&batch, 0.3, 64);
+    let online = ShardedOnlineSelector::from_batch(&batch, 0.3, 64, 3);
     for fv in &stream() {
         let before_clusters = online.n_clusters();
         let before_staleness = online.staleness();
-        let p1 = online.peek(fv);
-        let p2 = online.peek(fv);
-        assert_eq!(p1, p2, "peek must be idempotent");
+        let p1 = online.decide(fv, false).decision;
+        let p2 = online.decide(fv, false).decision;
+        assert_eq!(p1, p2, "read decisions must be idempotent");
         assert_eq!(online.n_clusters(), before_clusters);
         assert_eq!(online.staleness(), before_staleness);
-        let d = online.observe(fv);
+        let d = online.decide(fv, true).decision;
         if !d.new_cluster {
             assert_eq!(p1.cluster, d.cluster);
             assert_eq!(p1.format, d.format);
@@ -118,7 +212,7 @@ fn peek_matches_observe_without_mutating() {
 #[test]
 fn only_unlabeled_clusters_request_benchmarks() {
     let batch = batch_selector();
-    let mut online = OnlineSelector::from_batch(&batch, 0.3, 64);
+    let online = ShardedOnlineSelector::from_batch(&batch, 0.3, 64, 3);
     assert_eq!(
         online.unlabeled_clusters(),
         0,
@@ -126,10 +220,10 @@ fn only_unlabeled_clusters_request_benchmarks() {
     );
     let mut stale = 0usize;
     for fv in &stream() {
-        let d = online.observe(fv);
+        let d = online.decide(fv, true).decision;
         assert_eq!(
             d.benchmark_requested,
-            !online.is_labeled(d.cluster),
+            !online.snapshot().is_labeled(d.cluster),
             "benchmark requests must track label state"
         );
         if d.new_cluster {
@@ -151,9 +245,9 @@ fn only_unlabeled_clusters_request_benchmarks() {
 #[test]
 fn feedback_then_redecide_uses_the_measured_label() {
     let batch = batch_selector();
-    let mut online = OnlineSelector::from_batch(&batch, 0.3, 64);
+    let online = ShardedOnlineSelector::from_batch(&batch, 0.3, 64, 3);
     let novel = FeatureVector::from_csr(&CsrMatrix::from(&gen::bimodal(1500, 1500, 3, 40, 0.3, 9)));
-    let d = online.observe(&novel);
+    let d = online.decide(&novel, true).decision;
     if !d.new_cluster {
         // With this threshold the bimodal family is genuinely novel; if
         // generators ever change, the test is vacuous rather than wrong.
@@ -162,8 +256,8 @@ fn feedback_then_redecide_uses_the_measured_label() {
     assert_eq!(d.format, Format::Csr, "default before feedback");
     assert!(d.benchmark_requested);
 
-    online.report_benchmark(d.cluster, Format::Hyb);
-    assert!(online.is_labeled(d.cluster));
+    online.report_benchmark(d.cluster, Format::Hyb).unwrap();
+    assert!(online.snapshot().is_labeled(d.cluster));
     assert_eq!(
         online.staleness(),
         0,
@@ -172,23 +266,22 @@ fn feedback_then_redecide_uses_the_measured_label() {
 
     // Redecide: the same family now gets the measured format, observing
     // or peeking, and no further benchmarks are requested.
-    let again = online.observe(&novel);
+    let again = online.decide(&novel, true).decision;
     assert_eq!(again.cluster, d.cluster);
     assert_eq!(again.format, Format::Hyb);
     assert!(!again.benchmark_requested);
-    assert_eq!(online.peek(&novel).format, Format::Hyb);
+    assert_eq!(online.decide(&novel, false).decision.format, Format::Hyb);
     assert_eq!(online.predict(&novel), Format::Hyb);
 
     // The platform drifts and a new measurement disagrees: latest wins.
-    online.report_benchmark(d.cluster, Format::Ell);
+    online.report_benchmark(d.cluster, Format::Ell).unwrap();
     assert_eq!(online.predict(&novel), Format::Ell);
 }
 
-/// The tentpole determinism guarantee: for any single-client stream of
+/// The determinism guarantee: for any single-client stream of
 /// interleaved observes, peeks, and feedback, the sharded selector makes
 /// decisions bit-identical to the serial `OnlineSelector`, at every
-/// shard count — so swapping the engine's concurrency model changed no
-/// reply.
+/// shard count — so its concurrency design changes no reply.
 #[test]
 fn sharded_selector_is_bit_identical_to_serial_for_any_shard_count() {
     let batch = batch_selector();
@@ -242,7 +335,7 @@ fn sharded_selector_is_bit_identical_to_serial_for_any_shard_count() {
             assert_eq!(snap.is_labeled(c), serial.is_labeled(c));
         }
         for fv in stream().iter().take(4) {
-            assert_eq!(sharded.predict(fv), serial.predict(fv));
+            assert_eq!(sharded.predict(fv), serial.peek(fv).format);
         }
         // Out-of-range feedback is a typed None, not a panic.
         assert!(sharded.report_benchmark(10_000, Format::Coo).is_none());

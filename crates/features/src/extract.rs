@@ -1,22 +1,19 @@
-//! Single-pass feature extraction with reusable scratch buffers.
+//! Single-pass feature extraction with reusable scratch buffers: the
+//! one walk that turns a matrix's structure into [`MatrixStats`].
 //!
-//! [`MatrixStats::from_csr`] is correct but allocation-heavy: it builds a
-//! row-counts `Vec`, a diagonal occupancy bitmap, and then re-walks the
-//! counts separately for the sum, min, max, deviation sums, `csr_max`
-//! warp chunks, the HYB histogram, and the HYB ELL occupancy. That is
-//! fine for offline table generation and fatal for a serving hot path
-//! that wants to stay allocation-free.
+//! [`FeatureExtractor`] computes every statistic from two things only:
+//! each row's entry count and the set of occupied diagonals. It gathers
+//! them in one of three ways:
 //!
-//! [`FeatureExtractor`] computes the identical [`MatrixStats`] from two
-//! things only: each row's entry count and the set of occupied
-//! diagonals. It gathers them in one of two ways:
-//!
-//! * from a CSR matrix ([`FeatureExtractor::stats`]), in one walk over
-//!   the row pointers and column indices;
+//! * from a CSR matrix ([`FeatureExtractor::stats`], and
+//!   [`MatrixStats::from_csr`] through a fresh extractor), in one walk
+//!   over the row pointers and column indices;
 //! * as the [`StructureSink`] of a Matrix Market read
 //!   ([`spsel_matrix::io::stream_matrix_market`]), one position at a
 //!   time, with no matrix built at all; [`FeatureExtractor::finish`] then
-//!   gives the stats.
+//!   gives the stats;
+//! * from row counts alone ([`MatrixStats::from_row_counts`]), with no
+//!   diagonal census.
 //!
 //! Either way the same two aggregate walks over the counts follow: one
 //! for nnz, min/max, warp chunks and the HYB histogram, and one for the
@@ -24,12 +21,14 @@
 //! need the mean. All scratch buffers are reused across calls and
 //! cleared in O(1) with an epoch stamp, so a warmed extractor performs
 //! zero heap allocations. Floating-point accumulation order matches the
-//! legacy path operation for operation, so the result is bit-identical —
-//! `crates/features/tests/properties.rs` proves it over random, empty,
-//! single-row, hub, banded, and power-law matrices, read both ways.
+//! multi-pass construction this replaced operation for operation, so the
+//! result is bit-identical: `crates/features/tests/properties.rs` proves
+//! it against that construction, kept as a test oracle, over random,
+//! empty, single-row, hub, banded, and power-law matrices, read both
+//! ways.
 
 use crate::stats::WARP_ROWS;
-use crate::{FeatureVector, MatrixStats};
+use crate::MatrixStats;
 use spsel_matrix::hyb::{DEFAULT_BREAKEVEN_THRESHOLD, DEFAULT_RELATIVE_SPEED};
 use spsel_matrix::io::StructureSink;
 use spsel_matrix::{CsrMatrix, SpMv};
@@ -109,8 +108,7 @@ impl FeatureExtractor {
         *stamp = self.epoch;
     }
 
-    /// Compute all statistics of `csr`, bit-identical to
-    /// [`MatrixStats::from_csr`], reusing this extractor's scratch.
+    /// Compute all statistics of `csr`, reusing this extractor's scratch.
     pub fn stats(&mut self, csr: &CsrMatrix) -> MatrixStats {
         self.start(csr.nrows(), csr.ncols());
         // One walk over the rows: each row's count, and the diagonal
@@ -208,7 +206,7 @@ impl FeatureExtractor {
 
         // Walk 2: the counts again, in row order. The deviation sums
         // need the mean, so they cannot ride walk 1; accumulation order
-        // matches `MatrixStats::from_row_counts` exactly.
+        // matches the multi-pass oracle in the tests exactly.
         let mut var_sum = 0.0;
         let mut lower_sum = 0.0;
         let mut lower_n = 0usize;
@@ -264,9 +262,16 @@ impl FeatureExtractor {
         }
     }
 
-    /// Extract the Table 1 feature vector of `csr` via [`Self::stats`].
-    pub fn features(&mut self, csr: &CsrMatrix) -> FeatureVector {
-        FeatureVector::from_stats(&self.stats(csr))
+    /// The statistics of a matrix known only by its row counts: the
+    /// walks of [`Self::finish`] over `counts`, with no diagonal census
+    /// (`diagonals` and `dia_size` are zero).
+    pub(crate) fn row_count_stats(&mut self, ncols: usize, counts: &[usize]) -> MatrixStats {
+        self.counts.clear();
+        self.counts.extend_from_slice(counts);
+        self.nrows = counts.len();
+        self.ncols = ncols;
+        self.diagonals = 0;
+        self.finish()
     }
 }
 
@@ -289,8 +294,14 @@ impl StructureSink for FeatureExtractor {
     }
 }
 
+/// The multi-pass oracle, shared with `tests/properties.rs`.
+#[cfg(test)]
+#[path = "../tests/support/legacy.rs"]
+mod legacy;
+
 #[cfg(test)]
 mod tests {
+    use super::legacy::{legacy_from_csr, legacy_from_row_counts};
     use super::*;
     use spsel_matrix::gen;
 
@@ -304,8 +315,11 @@ mod tests {
             CsrMatrix::from(&gen::random_uniform(64, 96, 6, 4)),
         ];
         for csr in &matrices {
-            assert_eq!(ex.stats(csr), MatrixStats::from_csr(csr));
-            assert_eq!(ex.features(csr), FeatureVector::from_csr(csr));
+            let legacy = legacy_from_csr(csr);
+            assert_eq!(ex.stats(csr), legacy);
+            let counts = csr.row_counts();
+            let rows = legacy_from_row_counts(csr.nrows(), csr.ncols(), &counts);
+            assert_eq!(ex.row_count_stats(csr.ncols(), &counts), rows);
         }
     }
 
@@ -315,11 +329,11 @@ mod tests {
         // not read stale histogram or diagonal stamps.
         let mut ex = FeatureExtractor::new();
         let big = CsrMatrix::from(&gen::power_law(400, 400, 3, 2.1, 200, 1));
-        assert_eq!(ex.stats(&big), MatrixStats::from_csr(&big));
+        assert_eq!(ex.stats(&big), legacy_from_csr(&big));
         let small = CsrMatrix::from(&gen::stencil2d(5, 0));
-        assert_eq!(ex.stats(&small), MatrixStats::from_csr(&small));
+        assert_eq!(ex.stats(&small), legacy_from_csr(&small));
         let tiny = CsrMatrix::from(&spsel_matrix::CooMatrix::zeros(1, 1));
-        assert_eq!(ex.stats(&tiny), MatrixStats::from_csr(&tiny));
+        assert_eq!(ex.stats(&tiny), legacy_from_csr(&tiny));
     }
 
     #[test]
@@ -332,7 +346,7 @@ mod tests {
             spsel_matrix::CooMatrix::zeros(4, 4),
         ] {
             let csr = CsrMatrix::from(&coo);
-            assert_eq!(ex.stats(&csr), MatrixStats::from_csr(&csr));
+            assert_eq!(ex.stats(&csr), legacy_from_csr(&csr));
         }
     }
 }

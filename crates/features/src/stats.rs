@@ -1,14 +1,16 @@
 //! Raw per-matrix structural statistics, computed in O(nnz).
 //!
 //! [`MatrixStats`] holds every raw quantity the Table 1 features and the
-//! GPU performance model need. Everything is derived from one pass over the
-//! row lengths plus one pass over the entries (for the diagonal census),
-//! matching the paper's requirement that features be computable in time
-//! proportional to the number of nonzeros.
+//! GPU performance model need. All of them derive from each row's entry
+//! count and the set of occupied diagonals, matching the paper's
+//! requirement that features be computable in time proportional to the
+//! number of nonzeros. [`FeatureExtractor`] is the one walk that computes
+//! them; [`MatrixStats::from_csr`] and [`MatrixStats::from_row_counts`]
+//! are shorthands for a fresh extractor.
 
+use crate::FeatureExtractor;
 use serde::{Deserialize, Serialize};
-use spsel_matrix::hyb::{DEFAULT_BREAKEVEN_THRESHOLD, DEFAULT_RELATIVE_SPEED};
-use spsel_matrix::{CsrMatrix, SpMv};
+use spsel_matrix::CsrMatrix;
 
 /// Number of rows a warp covers in the scalar CSR kernel (one thread per
 /// row, 32 threads per warp).
@@ -56,108 +58,19 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Compute all statistics from a CSR matrix in O(nnz).
+    /// Compute all statistics from a CSR matrix in O(nnz): a fresh
+    /// [`FeatureExtractor`]'s [`stats`](FeatureExtractor::stats). Reuse
+    /// an extractor instead to keep its scratch across matrices.
     pub fn from_csr(csr: &CsrMatrix) -> Self {
-        let counts = csr.row_counts();
-        let mut stats = Self::from_row_counts(csr.nrows(), csr.ncols(), &counts);
-
-        // Diagonal census: one pass over entries, flat occupancy bitmap over
-        // the `nrows + ncols - 1` possible offsets.
-        let (nrows, ncols) = (csr.nrows(), csr.ncols());
-        if nrows > 0 && ncols > 0 {
-            let mut occupied = vec![false; nrows + ncols - 1];
-            let mut diagonals = 0usize;
-            for (r, c, _) in csr.iter() {
-                let idx = c + nrows - 1 - r;
-                if !occupied[idx] {
-                    occupied[idx] = true;
-                    diagonals += 1;
-                }
-            }
-            stats.diagonals = diagonals;
-            stats.dia_size = diagonals * nrows;
-        }
-        stats
+        FeatureExtractor::new().stats(csr)
     }
 
     /// Compute the row-length-derived statistics only (diagonal census left
-    /// at zero). Useful for tests and for synthetic workloads where only
-    /// row counts are known.
+    /// at zero): the extractor's aggregate walks over `counts`. Useful for
+    /// tests and for synthetic workloads where only row counts are known.
     pub fn from_row_counts(nrows: usize, ncols: usize, counts: &[usize]) -> Self {
         assert_eq!(counts.len(), nrows, "one count per row");
-        let nnz: usize = counts.iter().sum();
-        let mean = if nrows == 0 {
-            0.0
-        } else {
-            nnz as f64 / nrows as f64
-        };
-        let nnz_min = counts.iter().copied().min().unwrap_or(0);
-        let nnz_max = counts.iter().copied().max().unwrap_or(0);
-
-        let mut var_sum = 0.0;
-        let mut lower_sum = 0.0;
-        let mut lower_n = 0usize;
-        let mut higher_sum = 0.0;
-        let mut higher_n = 0usize;
-        for &c in counts {
-            let d = c as f64 - mean;
-            var_sum += d * d;
-            if d < 0.0 {
-                lower_sum += d * d;
-                lower_n += 1;
-            } else if d > 0.0 {
-                higher_sum += d * d;
-                higher_n += 1;
-            }
-        }
-        let nnz_std = if nrows == 0 {
-            0.0
-        } else {
-            (var_sum / nrows as f64).sqrt()
-        };
-        let sig_lower = if lower_n == 0 {
-            0.0
-        } else {
-            (lower_sum / lower_n as f64).sqrt()
-        };
-        let sig_higher = if higher_n == 0 {
-            0.0
-        } else {
-            (higher_sum / higher_n as f64).sqrt()
-        };
-
-        let csr_max = counts
-            .chunks(WARP_ROWS)
-            .map(|w| w.iter().sum::<usize>())
-            .max()
-            .unwrap_or(0);
-
-        let hyb_ell_width = spsel_matrix::hyb::optimal_ell_width(
-            counts,
-            DEFAULT_RELATIVE_SPEED,
-            DEFAULT_BREAKEVEN_THRESHOLD,
-        );
-        let hyb_ell_nnz: usize = counts.iter().map(|&c| c.min(hyb_ell_width)).sum();
-
-        MatrixStats {
-            nrows,
-            ncols,
-            nnz,
-            nnz_min,
-            nnz_max,
-            nnz_mean: mean,
-            nnz_std,
-            sig_lower,
-            sig_higher,
-            csr_max,
-            hyb_ell_width,
-            hyb_ell_size: hyb_ell_width * nrows,
-            hyb_ell_nnz,
-            hyb_coo_nnz: nnz - hyb_ell_nnz,
-            diagonals: 0,
-            dia_size: 0,
-            ell_size: nnz_max * nrows,
-        }
+        FeatureExtractor::new().row_count_stats(ncols, counts)
     }
 
     /// Fraction of positions that are nonzero (`nnz / (nrows * ncols)`).
@@ -200,11 +113,14 @@ impl MatrixStats {
 
     /// Bytes each benchmarked format would occupy; consumed by the GPU
     /// model's out-of-memory checks. Order matches [`spsel_matrix::Format::ALL`].
+    /// A size past `usize::MAX` saturates there: stats rebuilt from an
+    /// inline feature vector can claim any count.
     pub fn format_bytes(&self) -> [usize; 4] {
-        let coo = self.nnz * 16;
-        let csr = (self.nrows + 1) * 8 + self.nnz * 12;
-        let ell = self.ell_size * 12;
-        let hyb = self.hyb_ell_size * 12 + self.hyb_coo_nnz * 16;
+        let bytes = |n: usize, per: usize| n.saturating_mul(per);
+        let coo = bytes(self.nnz, 16);
+        let csr = bytes(self.nrows.saturating_add(1), 8).saturating_add(bytes(self.nnz, 12));
+        let ell = bytes(self.ell_size, 12);
+        let hyb = bytes(self.hyb_ell_size, 12).saturating_add(bytes(self.hyb_coo_nnz, 16));
         [coo, csr, ell, hyb]
     }
 }
@@ -212,7 +128,7 @@ impl MatrixStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spsel_matrix::gen;
+    use spsel_matrix::{gen, SpMv};
 
     #[test]
     fn uniform_rows_have_zero_std() {
@@ -292,6 +208,24 @@ mod tests {
         assert_eq!(ell_b, ell.memory_bytes());
         let hyb = spsel_matrix::HybMatrix::from_csr(&csr);
         assert_eq!(hyb_b, hyb.memory_bytes());
+    }
+
+    #[test]
+    fn format_bytes_saturate_past_usize() {
+        // Below the overflow point: the plain products.
+        let mut s = MatrixStats::from_row_counts(2, 5, &[2, 3]);
+        let plain = [
+            s.nnz * 16,
+            (s.nrows + 1) * 8 + s.nnz * 12,
+            s.ell_size * 12,
+            s.hyb_ell_size * 12 + s.hyb_coo_nnz * 16,
+        ];
+        assert_eq!(s.format_bytes(), plain);
+        s.nnz = usize::MAX;
+        s.nrows = usize::MAX;
+        s.ell_size = usize::MAX / 2;
+        s.hyb_coo_nnz = usize::MAX;
+        assert_eq!(s.format_bytes(), [usize::MAX; 4]);
     }
 
     #[test]

@@ -2,12 +2,17 @@
 //! invariants the selector relies on.
 
 use proptest::prelude::*;
+use spsel_features::stats::WARP_ROWS;
 use spsel_features::{
     FeatureExtractor, FeatureId, FeatureVector, MatrixStats, MinMaxScaler, Pca, Preprocessor,
 };
 use spsel_matrix::io::{self, StructureRead};
 use spsel_matrix::{gen, CooMatrix, CsrMatrix, SpMv};
 use std::fmt::Write;
+
+#[path = "support/legacy.rs"]
+mod legacy;
+use legacy::{legacy_from_csr, legacy_from_row_counts};
 
 /// Random row-count vectors (the input MatrixStats is derived from).
 fn arb_counts() -> impl Strategy<Value = (usize, Vec<usize>)> {
@@ -37,6 +42,17 @@ proptest! {
         // Fractions bounded.
         prop_assert!((0.0..=1.0).contains(&s.ell_fraction()));
         prop_assert!((0.0..=1.0).contains(&s.hyb_ell_fraction()));
+    }
+
+    #[test]
+    fn row_count_stats_match_the_legacy_walks(
+        (nrows, counts) in arb_counts(),
+        ncols in 0usize..80,
+    ) {
+        prop_assert_eq!(
+            MatrixStats::from_row_counts(nrows, ncols, &counts),
+            legacy_from_row_counts(nrows, ncols, &counts)
+        );
     }
 
     #[test]
@@ -159,10 +175,10 @@ fn arb_pattern() -> impl Strategy<Value = CsrMatrix> {
 /// multi-pass path: stats must be `==` and the derived feature vector
 /// must match to the bit.
 fn assert_extractor_identical(ex: &mut FeatureExtractor, csr: &CsrMatrix) {
-    let legacy = MatrixStats::from_csr(csr);
-    assert_eq!(ex.stats(csr), legacy, "stats diverge");
-    let bits_new: Vec<u64> = ex
-        .features(csr)
+    let legacy = legacy_from_csr(csr);
+    let stats = ex.stats(csr);
+    assert_eq!(stats, legacy, "stats diverge");
+    let bits_new: Vec<u64> = FeatureVector::from_stats(&stats)
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
@@ -239,7 +255,7 @@ fn assert_sink_identical(ex: &mut FeatureExtractor, csr: &CsrMatrix) {
             streamed,
             "{kind} {symmetry}: finish is not repeatable"
         );
-        let legacy = MatrixStats::from_csr(&held);
+        let legacy = legacy_from_csr(&held);
         assert_eq!(streamed, legacy, "{kind} {symmetry}: stats diverge");
         let bits = |s: &MatrixStats| {
             FeatureVector::from_stats(s)

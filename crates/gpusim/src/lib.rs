@@ -40,7 +40,7 @@ pub use bench::{
 pub use cost::{conversion_cost_relative, estimate_benchmark_hours, ConversionCostModel};
 pub use faults::{FaultClass, FaultConfig, FaultRates, FAULTS_ENV, FAULT_SEED_ENV};
 pub use model::{
-    best_format, best_format_for, explain_times, explain_workload, predict_times,
-    predict_workload_times, SpmvTimes, TimeBreakdown, WorkloadTimes,
+    best_format_for, explain_times, explain_workload, predict_times, predict_workload_times,
+    SpmvTimes, TimeBreakdown, WorkloadTimes,
 };
 pub use spec::{pascal_gtx1080, turing_rtx8000, volta_v100, Gpu, GpuSpec, KernelCoeffs};

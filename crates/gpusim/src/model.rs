@@ -34,14 +34,6 @@ impl SpmvTimes {
         best
     }
 
-    /// Speedup of the best format over CSR (`>= 1` unless CSR is optimal).
-    pub fn best_speedup_over_csr(&self) -> f64 {
-        match self.best() {
-            Some(b) => self.get(Format::Csr) / self.get(b),
-            None => 1.0,
-        }
-    }
-
     /// Whether any format fits in memory.
     pub fn any_feasible(&self) -> bool {
         self.us.iter().any(|t| t.is_finite())
@@ -103,130 +95,30 @@ fn utilization(spec: &GpuSpec, items: f64) -> f64 {
     (items / (spec.max_threads() * 2.0)).clamp(0.02, 1.0)
 }
 
-/// Decompose the four kernel times for a matrix described by `stats`
-/// (noise-free). Order matches [`Format::ALL`].
+/// Decompose the four CUSP kernel times for a matrix described by `stats`
+/// (noise-free): [`explain_workload`] under [`Workload::SpMv`] for each of
+/// [`Format::ALL`], in that order.
 pub fn explain_times(spec: &GpuSpec, stats: &MatrixStats) -> [TimeBreakdown; 4] {
-    let c = &spec.coeffs;
-    let bw = spec.bytes_per_us();
-    let xb = x_bytes_per_nnz(spec, stats);
-    let (nnz, nrows) = (stats.nnz as f64, stats.nrows as f64);
-    let mem_cap = spec.memory_bytes() * c.mem_fraction;
-    let [coo_bytes_raw, csr_bytes_raw, ell_bytes_raw, hyb_bytes_raw] = stats.format_bytes();
-
-    // COO: segmented reduction over nnz items — oblivious to row imbalance,
-    // parallel over nonzeros (good occupancy even for few-row matrices),
-    // but an extra pass and atomics make it stream-inefficient.
-    let coo = if coo_bytes_raw as f64 > mem_cap {
-        TimeBreakdown::infeasible()
-    } else {
-        let bytes = nnz * 16.0 + nnz * xb;
-        let util = utilization(spec, nnz / 32.0);
-        TimeBreakdown {
-            launch_us: 2.0 * c.launch_us,
-            stream_us: bytes * c.coo_factor / (bw * util),
-            straggler_us: 0.0,
-            utilization: util,
-            feasible: true,
-        }
-    };
-
-    // CSR (scalar kernel): one thread per row. Streaming term plus a
-    // serialization term — the warp whose thread owns the longest row
-    // finishes last, each of its loads latency-bound.
-    let csr = if csr_bytes_raw as f64 > mem_cap {
-        TimeBreakdown::infeasible()
-    } else {
-        let bytes = nnz * 12.0 + nrows * 16.0 + nnz * xb;
-        // Divergence: the warp finishes with its longest row, so the
-        // max/mean row-length ratio degrades effective bandwidth.
-        let divergence = if stats.nnz_mean > 0.0 {
-            (stats.nnz_max as f64 / (stats.nnz_mean + 1.0)).clamp(1.0, 32.0)
-        } else {
-            1.0
-        };
-        let penalty = c.csr_penalty * (1.0 + c.csr_divergence * (divergence - 1.0));
-        let util = utilization(spec, nrows);
-        TimeBreakdown {
-            launch_us: c.launch_us,
-            stream_us: bytes * penalty / (bw * util),
-            straggler_us: stats.nnz_max as f64 * c.serial_ns / 1000.0,
-            utilization: util,
-            feasible: true,
-        }
-    };
-
-    // ELL: fully coalesced streaming of the padded slab; pays for padding
-    // in bandwidth and can exhaust memory.
-    let ell = if ell_bytes_raw as f64 > mem_cap {
-        TimeBreakdown::infeasible()
-    } else {
-        let bytes = stats.ell_size as f64 * 12.0 + nnz * xb;
-        let util = utilization(spec, nrows);
-        TimeBreakdown {
-            launch_us: c.launch_us,
-            stream_us: bytes * c.ell_factor / (bw * util),
-            straggler_us: 0.0,
-            utilization: util,
-            feasible: true,
-        }
-    };
-
-    // HYB: ELL phase plus COO phase plus extra launches.
-    let hyb = if hyb_bytes_raw as f64 > mem_cap {
-        TimeBreakdown::infeasible()
-    } else {
-        let ell_bytes = stats.hyb_ell_size as f64 * 12.0 + stats.hyb_ell_nnz as f64 * xb;
-        let coo_nnz = stats.hyb_coo_nnz as f64;
-        let coo_bytes = coo_nnz * (16.0 + xb);
-        let util = utilization(spec, nrows);
-        let ell_t = ell_bytes * c.ell_factor / (bw * util);
-        let coo_t = if coo_nnz > 0.0 {
-            coo_bytes * c.coo_factor / (bw * utilization(spec, (coo_nnz / 32.0).max(1.0)))
-        } else {
-            0.0
-        };
-        TimeBreakdown {
-            launch_us: (1.0 + c.hyb_extra_launches) * c.launch_us,
-            stream_us: ell_t + coo_t,
-            straggler_us: 0.0,
-            utilization: util,
-            feasible: true,
-        }
-    };
-
-    [coo, csr, ell, hyb]
+    Format::ALL.map(|f| spmv_breakdown(spec, stats, f))
 }
 
-/// Model the four kernel times for a matrix described by `stats`.
+/// Model the four CUSP kernel times for a matrix described by `stats`:
+/// [`predict_workload_times`] for SpMV over the default registry.
 ///
 /// `matrix_id` seeds the deterministic measurement noise; pass a stable
 /// per-matrix identifier.
 pub fn predict_times(spec: &GpuSpec, stats: &MatrixStats, matrix_id: u64) -> SpmvTimes {
-    let gpu_idx = spec.gpu as usize;
-    let breakdown = explain_times(spec, stats);
-    let mut us = [0.0; 4];
-    for (fi, b) in breakdown.iter().enumerate() {
-        let t = b.total_us();
-        us[fi] = if t.is_finite() {
-            t * noise_factor(matrix_id, fi, gpu_idx)
-        } else {
-            t
-        };
+    SpmvTimes {
+        us: Format::ALL.map(|f| price(spec, stats, matrix_id, f, Workload::SpMv)),
     }
-    SpmvTimes { us }
 }
 
-/// The fastest feasible format for a matrix on a GPU.
-pub fn best_format(spec: &GpuSpec, stats: &MatrixStats, matrix_id: u64) -> Option<Format> {
-    predict_times(spec, stats, matrix_id).best()
-}
-
-// --------------------------------------------------------- format zoo model
+// --------------------------------------------------------- per-format model
 //
-// Everything below is the registry/workload-aware extension. The four
-// CUSP formats under `Workload::SpMv` delegate to `explain_times`, so the
-// default registry reproduces every historical prediction bit for bit;
-// BSR/SELL/DIA and the SpMM workloads are new model surface.
+// One breakdown per `(format, workload)`: `spmv_breakdown` prices every
+// registered format under SpMV (the paper's four CUSP formats and the
+// extended BSR/SELL/DIA), `spmm_breakdown` builds SpMM on top of it, and
+// `price` adds the measurement noise.
 
 /// Fixed per-format stream-efficiency factors of the extended formats.
 /// They live here (not in `KernelCoeffs`) because `GpuSpec` is serialized
@@ -271,23 +163,95 @@ fn sell_slab_slots(stats: &MatrixStats) -> f64 {
 }
 
 /// The diagonal-count budget DIA conversion accepts (kept in lockstep
-/// with the registry's `DiaSpec`).
+/// with the registry's `DiaSpec`). A shape whose dimensions sum past
+/// `usize::MAX` (stats rebuilt from an inline feature vector) saturates.
 fn dia_limit(stats: &MatrixStats) -> usize {
-    ((stats.nrows + stats.ncols) / 4).max(16)
+    (stats.nrows.saturating_add(stats.ncols) / 4).max(16)
 }
 
-/// Noise-free SpMV breakdown for any registered format. CUSP formats are
-/// the `explain_times` entries unchanged.
+/// Noise-free SpMV breakdown of one format.
 fn spmv_breakdown(spec: &GpuSpec, stats: &MatrixStats, format: Format) -> TimeBreakdown {
-    if format.index() < Format::COUNT {
-        return explain_times(spec, stats)[format.index()];
-    }
     let c = &spec.coeffs;
     let bw = spec.bytes_per_us();
     let xb = x_bytes_per_nnz(spec, stats);
     let (nnz, nrows) = (stats.nnz as f64, stats.nrows as f64);
     let mem_cap = spec.memory_bytes() * c.mem_fraction;
+    // A CUSP format must fit its `MatrixStats::format_bytes` entry; the
+    // extended formats check their own storage below.
+    if format.index() < Format::COUNT && stats.format_bytes()[format.index()] as f64 > mem_cap {
+        return TimeBreakdown::infeasible();
+    }
     match format {
+        // COO: segmented reduction over nnz items — oblivious to row
+        // imbalance, parallel over nonzeros (good occupancy even for
+        // few-row matrices), but an extra pass and atomics make it
+        // stream-inefficient.
+        Format::Coo => {
+            let bytes = nnz * 16.0 + nnz * xb;
+            let util = utilization(spec, nnz / 32.0);
+            TimeBreakdown {
+                launch_us: 2.0 * c.launch_us,
+                stream_us: bytes * c.coo_factor / (bw * util),
+                straggler_us: 0.0,
+                utilization: util,
+                feasible: true,
+            }
+        }
+        // CSR (scalar kernel): one thread per row. Streaming term plus a
+        // serialization term — the warp whose thread owns the longest row
+        // finishes last, each of its loads latency-bound.
+        Format::Csr => {
+            let bytes = nnz * 12.0 + nrows * 16.0 + nnz * xb;
+            // Divergence: the warp finishes with its longest row, so the
+            // max/mean row-length ratio degrades effective bandwidth.
+            let divergence = if stats.nnz_mean > 0.0 {
+                (stats.nnz_max as f64 / (stats.nnz_mean + 1.0)).clamp(1.0, 32.0)
+            } else {
+                1.0
+            };
+            let penalty = c.csr_penalty * (1.0 + c.csr_divergence * (divergence - 1.0));
+            let util = utilization(spec, nrows);
+            TimeBreakdown {
+                launch_us: c.launch_us,
+                stream_us: bytes * penalty / (bw * util),
+                straggler_us: stats.nnz_max as f64 * c.serial_ns / 1000.0,
+                utilization: util,
+                feasible: true,
+            }
+        }
+        // ELL: fully coalesced streaming of the padded slab; pays for
+        // padding in bandwidth and can exhaust memory.
+        Format::Ell => {
+            let bytes = stats.ell_size as f64 * 12.0 + nnz * xb;
+            let util = utilization(spec, nrows);
+            TimeBreakdown {
+                launch_us: c.launch_us,
+                stream_us: bytes * c.ell_factor / (bw * util),
+                straggler_us: 0.0,
+                utilization: util,
+                feasible: true,
+            }
+        }
+        // HYB: ELL phase plus COO phase plus extra launches.
+        Format::Hyb => {
+            let ell_bytes = stats.hyb_ell_size as f64 * 12.0 + stats.hyb_ell_nnz as f64 * xb;
+            let coo_nnz = stats.hyb_coo_nnz as f64;
+            let coo_bytes = coo_nnz * (16.0 + xb);
+            let util = utilization(spec, nrows);
+            let ell_t = ell_bytes * c.ell_factor / (bw * util);
+            let coo_t = if coo_nnz > 0.0 {
+                coo_bytes * c.coo_factor / (bw * utilization(spec, (coo_nnz / 32.0).max(1.0)))
+            } else {
+                0.0
+            };
+            TimeBreakdown {
+                launch_us: (1.0 + c.hyb_extra_launches) * c.launch_us,
+                stream_us: ell_t + coo_t,
+                straggler_us: 0.0,
+                utilization: util,
+                feasible: true,
+            }
+        }
         Format::Bsr => {
             // 2x2 blocks: values slab + one u32 per block + block row
             // pointers; the two rows of a block share their x gathers.
@@ -341,7 +305,6 @@ fn spmv_breakdown(spec: &GpuSpec, stats: &MatrixStats, format: Format) -> TimeBr
                 feasible: true,
             }
         }
-        _ => unreachable!("CUSP formats handled above"),
     }
 }
 
@@ -431,9 +394,7 @@ fn spmm_breakdown(spec: &GpuSpec, stats: &MatrixStats, format: Format, k: usize)
     }
 }
 
-/// Noise-free breakdown of one `(format, workload)` kernel. For the four
-/// CUSP formats under [`Workload::SpMv`] this is exactly the matching
-/// [`explain_times`] entry.
+/// Noise-free breakdown of one `(format, workload)` kernel.
 pub fn explain_workload(
     spec: &GpuSpec,
     stats: &MatrixStats,
@@ -475,11 +436,40 @@ impl WorkloadTimes {
     }
 }
 
-/// Model the kernel times of every format in `registry` for `workload`.
+/// The modeled time of one `(format, workload)` kernel: its noise-free
+/// total times the deterministic measurement noise of its lane, or
+/// `f64::INFINITY` when it does not fit in memory.
 ///
-/// Noise lanes: SpMV keeps the historical `(matrix, format, gpu)` lanes —
-/// [`predict_times`] and this function agree exactly on the CUSP formats —
-/// while each SpMM `k` draws from its own disjoint lane block.
+/// Noise lanes: SpMV uses the `(matrix, format, gpu)` lanes, while each
+/// SpMM `k` draws from its own disjoint lane block.
+fn price(
+    spec: &GpuSpec,
+    stats: &MatrixStats,
+    matrix_id: u64,
+    format: Format,
+    workload: Workload,
+) -> f64 {
+    let t = explain_workload(spec, stats, format, workload).total_us();
+    if !t.is_finite() {
+        return t;
+    }
+    let lane = format.index() + 8 * workload.lane() as usize;
+    t * noise_factor(matrix_id, lane, spec.gpu as usize)
+}
+
+impl From<&SpmvTimes> for WorkloadTimes {
+    /// The four CUSP times in their slots; every other format is
+    /// `f64::INFINITY`, as if outside the registry.
+    fn from(times: &SpmvTimes) -> Self {
+        let mut us = [f64::INFINITY; Format::UNIVERSE_COUNT];
+        for f in Format::ALL {
+            us[f.index()] = times.get(f);
+        }
+        WorkloadTimes { us }
+    }
+}
+
+/// Model the kernel times of every format in `registry` for `workload`.
 pub fn predict_workload_times(
     spec: &GpuSpec,
     stats: &MatrixStats,
@@ -487,16 +477,9 @@ pub fn predict_workload_times(
     registry: &FormatRegistry,
     workload: Workload,
 ) -> WorkloadTimes {
-    let gpu_idx = spec.gpu as usize;
     let mut us = [f64::INFINITY; Format::UNIVERSE_COUNT];
     for f in registry.formats() {
-        let t = explain_workload(spec, stats, f, workload).total_us();
-        us[f.index()] = if t.is_finite() {
-            let lane = f.index() + 8 * workload.lane() as usize;
-            t * noise_factor(matrix_id, lane, gpu_idx)
-        } else {
-            t
-        };
+        us[f.index()] = price(spec, stats, matrix_id, f, workload);
     }
     WorkloadTimes { us }
 }
@@ -638,9 +621,9 @@ mod tests {
         counts[0] = 800_000;
         let s = MatrixStats::from_row_counts(500_000, 500_000, &counts);
         let spec = volta_v100();
-        let first = best_format(&spec, &s, 0).unwrap();
+        let first = predict_times(&spec, &s, 0).best().unwrap();
         for id in 1..50 {
-            assert_eq!(best_format(&spec, &s, id).unwrap(), first);
+            assert_eq!(predict_times(&spec, &s, id).best().unwrap(), first);
         }
     }
 
@@ -680,15 +663,6 @@ mod tests {
         let b = explain_times(&turing_rtx8000(), &s);
         let csr = b[Format::Csr.index()];
         assert!(csr.straggler_us > 10.0 * csr.stream_us);
-    }
-
-    #[test]
-    fn speedup_over_csr_at_least_one() {
-        let s = stats_of(&gen::power_law(2000, 2000, 2, 2.1, 800, 3));
-        for gpu in [pascal_gtx1080(), volta_v100(), turing_rtx8000()] {
-            let t = predict_times(&gpu, &s, 13);
-            assert!(t.best_speedup_over_csr() >= 1.0);
-        }
     }
 
     #[test]
@@ -740,6 +714,26 @@ mod tests {
         assert!(s.diagonals > dia_limit(&s));
         let b = explain_workload(&volta_v100(), &s, Format::Dia, Workload::SpMv);
         assert!(!b.feasible);
+    }
+
+    #[test]
+    fn dia_prices_a_usize_max_shape_without_overflow() {
+        // Stats rebuilt from an inline feature vector can claim any
+        // shape; the DIA budget saturates instead of overflowing.
+        let mut s = MatrixStats::from_row_counts(0, 0, &[]);
+        s.nrows = usize::MAX;
+        s.ncols = usize::MAX;
+        assert_eq!(dia_limit(&s), usize::MAX / 4);
+        let b = explain_workload(&volta_v100(), &s, Format::Dia, Workload::SpMv);
+        assert!(b.feasible, "no diagonals: within the budget");
+        let t = predict_workload_times(
+            &volta_v100(),
+            &s,
+            1,
+            &FormatRegistry::full(),
+            Workload::SpMv,
+        );
+        assert!(t.get(Format::Dia).is_finite());
     }
 
     #[test]

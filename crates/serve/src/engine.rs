@@ -35,15 +35,13 @@ use crate::protocol::{
     SelectBody, SelectReply, StatsReply, SwapReply, SyncReply,
 };
 use spsel_core::cache::KeyWriter;
-use spsel_core::overhead::{
-    amortized_best, amortized_best_workload, break_even_iterations, break_even_iterations_workload,
-};
+use spsel_core::overhead::{amortized_best_workload, break_even_iterations_workload};
 use spsel_core::semi::SemiSupervisedSelector;
 use spsel_core::telemetry::ServingReport;
 use spsel_core::{DecisionPhaseNs, ShardedOnlineSelector};
 use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats, NUM_FEATURES};
 use spsel_gpusim::cost::ConversionCostModel;
-use spsel_gpusim::{predict_times, predict_workload_times, Gpu};
+use spsel_gpusim::{predict_workload_times, Gpu};
 use spsel_matrix::io::{self, StructureRead, StructureSink};
 use spsel_matrix::{CsrMatrix, Format, FormatRegistry, SpMv, Workload};
 use std::cell::RefCell;
@@ -461,15 +459,7 @@ impl Engine {
             return Ok((FeatureVector::from_stats(&stats), stats, extract_ns));
         }
         if let Some(values) = &body.features {
-            if values.len() != NUM_FEATURES {
-                return Err(ServeError::FeatureDim {
-                    got: values.len(),
-                    expected: NUM_FEATURES,
-                });
-            }
-            let mut raw = [0.0; NUM_FEATURES];
-            raw.copy_from_slice(values);
-            let fv = FeatureVector::from_raw(raw);
+            let fv = inline_features(values)?;
             let stats = stats_from_features(&fv);
             return Ok((fv, stats, 0));
         }
@@ -534,67 +524,43 @@ impl Engine {
             self.metrics.decision_phases(extract_ns, phases);
         }
 
-        // The SpMV path is the original four-format codepath, untouched:
-        // a CUSP-default model answers SpMV requests byte-identically to
-        // builds that predate workloads. Other workloads (and wider
-        // registries) go through the workload-generic tables.
-        let legacy_spmv = workload == Workload::SpMv
-            && model.registry.digest() == FormatRegistry::cusp_default().digest();
-        let (format, predicted, amortized, break_even) = if legacy_spmv {
-            let times = predict_times(&gpu.spec(), &stats, matrix_id(&fv));
-            let amortized = amortized_best(&times, &model.conversion, iterations);
-            let break_even = break_even_iterations(&times, &model.conversion, amortized.format);
-            let predicted = Format::ALL
-                .into_iter()
-                .map(|f| {
-                    let t = times.get(f);
-                    FormatTime {
-                        format: f.name().to_string(),
-                        us: t.is_finite().then_some(t),
-                    }
-                })
-                .collect();
-            (decision.format, predicted, amortized, break_even)
+        // The format: the cluster's SpMV label, or for another workload
+        // the cluster's label for it when the cluster was seen in
+        // training (online clusters opened after training have no table
+        // row and fall back to the SpMV label).
+        let format = if workload == Workload::SpMv {
+            decision.format
         } else {
-            let state = model.state(gpu)?;
-            // Non-SpMV format: the cluster's per-workload label when the
-            // cluster was seen in training; the SpMV decision otherwise
-            // (online clusters opened after training have no table row).
-            let format = if workload == Workload::SpMv {
-                decision.format
-            } else {
-                state
-                    .workload_labels
-                    .iter()
-                    .find(|(w, _)| *w == workload)
-                    .and_then(|(_, labels)| labels.get(decision.cluster))
-                    .copied()
-                    .unwrap_or(decision.format)
-            };
-            let times = predict_workload_times(
-                &gpu.spec(),
-                &stats,
-                matrix_id(&fv),
-                &model.registry,
-                workload,
-            );
-            let formats = model.registry.formats();
-            let amortized =
-                amortized_best_workload(&times, &formats, &model.conversion, iterations);
-            let break_even =
-                break_even_iterations_workload(&times, &model.conversion, amortized.format);
-            let predicted = formats
+            model
+                .state(gpu)?
+                .workload_labels
                 .iter()
-                .map(|&f| {
-                    let t = times.get(f);
-                    FormatTime {
-                        format: f.name().to_string(),
-                        us: t.is_finite().then_some(t),
-                    }
-                })
-                .collect();
-            (format, predicted, amortized, break_even)
+                .find(|(w, _)| *w == workload)
+                .and_then(|(_, labels)| labels.get(decision.cluster))
+                .copied()
+                .unwrap_or(decision.format)
         };
+        let times = predict_workload_times(
+            &gpu.spec(),
+            &stats,
+            matrix_id(&fv),
+            &model.registry,
+            workload,
+        );
+        let formats = model.registry.formats();
+        let amortized = amortized_best_workload(&times, &formats, &model.conversion, iterations);
+        let break_even =
+            break_even_iterations_workload(&times, &model.conversion, amortized.format);
+        let predicted = formats
+            .iter()
+            .map(|&f| {
+                let t = times.get(f);
+                FormatTime {
+                    format: f.name().to_string(),
+                    us: t.is_finite().then_some(t),
+                }
+            })
+            .collect();
 
         Ok(SelectReply {
             gpu: gpu.name().to_string(),
@@ -997,21 +963,14 @@ fn apply_feedback_to(
     })
 }
 
-/// Re-apply one journaled observation: the raw feature values go through
-/// the same `decide(learn: true)` path the original request took, so
-/// centroid motion and cluster creation replay bit-exactly.
+/// Re-apply one journaled observation: the raw feature values pass the
+/// same [`inline_features`] check and go through the same
+/// `decide(learn: true)` path the original request took, so centroid
+/// motion and cluster creation replay bit-exactly.
 fn apply_observe_to(model: &ModelState, gpu: &str, features: &[f64]) -> Result<(), ServeError> {
     let gpu = parse_gpu(gpu)?;
     let state = model.state(gpu)?;
-    if features.len() != NUM_FEATURES {
-        return Err(ServeError::FeatureDim {
-            got: features.len(),
-            expected: NUM_FEATURES,
-        });
-    }
-    let mut raw = [0.0; NUM_FEATURES];
-    raw.copy_from_slice(features);
-    state.online.decide(&FeatureVector::from_raw(raw), true);
+    state.online.decide(&inline_features(features)?, true);
     Ok(())
 }
 
@@ -1138,6 +1097,29 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_nanos() as u64)
+}
+
+/// The [`FeatureVector`] of an inline Table 1 vector: the one check
+/// behind inline selects, journal and sync replay, and corpus ingest.
+/// A wrong length is `feature_dim`; a NaN or infinite value (JSON's
+/// `1e999` parses to +inf, and the binary protocol carries raw f64 bits)
+/// is `bad_request` naming the first such index, so it never reaches
+/// the online clusters or the cost model.
+pub(crate) fn inline_features(values: &[f64]) -> Result<FeatureVector, ServeError> {
+    let raw: [f64; NUM_FEATURES] = values.try_into().map_err(|_| ServeError::FeatureDim {
+        got: values.len(),
+        expected: NUM_FEATURES,
+    })?;
+    if let Some(i) = raw.iter().position(|v| !v.is_finite()) {
+        return Err(ServeError::BadRequest {
+            message: format!(
+                "feature {i} ({}) is {}; every feature must be finite",
+                FeatureId::ALL[i],
+                raw[i]
+            ),
+        });
+    }
+    Ok(FeatureVector::from_raw(raw))
 }
 
 /// Deterministic measurement-noise seed for a matrix: an FNV-1a hash of

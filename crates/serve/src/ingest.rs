@@ -24,7 +24,7 @@ use crate::error::ServeError;
 use crate::journal::{read_journal, JournalLine};
 use spsel_core::cache::{Cache, GrownRecord};
 use spsel_core::corpus::{CorpusConfig, MatrixRecord};
-use spsel_features::{FeatureVector, NUM_FEATURES};
+use spsel_features::FeatureVector;
 use spsel_gpusim::{benchmark_corpus, Gpu};
 use spsel_matrix::gen::Family;
 use std::path::Path;
@@ -70,13 +70,10 @@ pub fn ingest_journal(
             continue;
         };
         report.observed += 1;
-        if features.len() != NUM_FEATURES {
+        let Ok(fv) = engine::inline_features(features) else {
             report.malformed += 1;
             continue;
-        }
-        let mut raw = [0.0; NUM_FEATURES];
-        raw.copy_from_slice(features);
-        let fv = FeatureVector::from_raw(raw);
+        };
         let id = engine::matrix_id(&fv);
         if seen.insert(id) {
             candidates.push((*seq, id, fv));

@@ -14,7 +14,7 @@ use spsel_serve::artifact::{self, ModelArtifact, TrainConfig};
 use spsel_serve::engine::MAX_MATRIX_DIM;
 use spsel_serve::framing::{self, MAGIC};
 use spsel_serve::protocol::{Request, Response, SelectBody};
-use spsel_serve::{Client, Engine, EngineOptions, ServeOptions, Server};
+use spsel_serve::{server, Client, Engine, EngineOptions, ServeOptions, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
@@ -776,4 +776,87 @@ fn json_pipelining_preserves_order_and_payloads() {
     }
     shutdown_via(addr);
     handle.join().unwrap();
+}
+
+/// The JSON line of a `learn` select carrying 21 copies of `value`,
+/// written verbatim (a float formatter would not write `1e999`).
+fn inline_select_line(value: &str, learn: bool) -> String {
+    let values = vec![value; spsel_features::NUM_FEATURES].join(",");
+    format!(
+        "{{\"Select\":{{\"matrix\":null,\"features\":[{values}],\"gpu\":\"pascal\",\
+         \"iterations\":500,\"deadline_ms\":null,\"learn\":{learn}}}}}"
+    )
+}
+
+fn pascal_clusters(engine: &Engine) -> usize {
+    engine
+        .stats()
+        .gpus
+        .iter()
+        .find(|g| g.gpu == "Pascal")
+        .unwrap()
+        .clusters
+}
+
+/// Non-finite inline features never reach the online clusters or the
+/// cost model: JSON `1e999` (which parses to +inf) and a binary frame's
+/// NaN bits, both with `learn: true`, are `bad_request`, no cluster
+/// opens, and the next select answers byte for byte as before.
+#[test]
+fn non_finite_inline_features_are_bad_requests_that_change_nothing() {
+    let engine = Engine::from_artifact(model(), &EngineOptions::default()).unwrap();
+    let probe = |engine: &Engine| {
+        let line = serde_json::to_string(&select_request(7)).unwrap();
+        let (reply, _) = server::handle_line(engine, &line, Instant::now(), 0);
+        serde_json::to_string(&reply).unwrap()
+    };
+    let before = probe(&engine);
+    let clusters = pascal_clusters(&engine);
+
+    let (json, _) = server::handle_line(
+        &engine,
+        &inline_select_line("1e999", true),
+        Instant::now(),
+        0,
+    );
+    let error = json.error.expect("1e999 is refused");
+    assert_eq!(error.code, "bad_request");
+    assert!(error.message.contains("feature 0"), "{}", error.message);
+
+    let mut nan = feature_vec(3);
+    nan[5] = f64::from_bits(0x7ff8_0000_dead_beef);
+    let request = Request::Select {
+        matrix: None,
+        features: Some(nan),
+        gpu: "pascal".into(),
+        iterations: Some(500),
+        deadline_ms: None,
+        learn: Some(true),
+        workload: None,
+    };
+    let mut frames = framing::FrameBuffer::new();
+    frames.push(&framing::encode_request(&request));
+    let (kind, body) = frames.next_frame().unwrap().expect("one whole frame");
+    let decoded = framing::decode_request(kind, &body).expect("NaN bits decode");
+    let (binary, _) = server::handle_request(&engine, &decoded, Instant::now(), 0);
+    let error = binary.error.expect("NaN is refused");
+    assert_eq!(error.code, "bad_request");
+    assert!(error.message.contains("feature 5"), "{}", error.message);
+
+    assert_eq!(pascal_clusters(&engine), clusters, "no cluster opened");
+    assert_eq!(probe(&engine), before);
+}
+
+/// Finite but absurd inline features (`1e300` everywhere) price without
+/// overflowing: the stats rebuilt from them saturate at `usize::MAX`,
+/// and the select gets a reply, learning or not.
+#[test]
+fn huge_finite_inline_features_get_a_reply() {
+    let engine = Engine::from_artifact(model(), &EngineOptions::default()).unwrap();
+    for learn in [false, true] {
+        let line = inline_select_line("1e300", learn);
+        let (reply, _) = server::handle_line(&engine, &line, Instant::now(), 0);
+        let select = reply.select.expect("a select reply");
+        assert_eq!(select.predicted.len(), 4);
+    }
 }

@@ -27,6 +27,13 @@ cargo test -q --offline
 echo "==> cargo test (full workspace)"
 cargo test -q --offline --workspace
 
+echo "==> perfbench (the benchmark driver builds and its tests pass)"
+# perfbench/ is a Cargo workspace of its own, so the steps above never
+# build it: a library name it imports could vanish unnoticed until the
+# benchmark runs. Build it into the root target/ so that no untracked
+# directory appears.
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection smoke (table binaries under 5% faults)"
 cargo build -q --release --offline -p spsel-bench --bin table2 --bin table3
 SMOKE_DIR="$(mktemp -d)"
