@@ -27,7 +27,7 @@ cargo test -q --offline
 echo "==> cargo test (full workspace)"
 cargo test -q --offline --workspace
 
-echo "==> perfbench (the benchmark driver builds and its tests pass)"
+echo "==> perfbench (the benchmark builds and its own tests pass)"
 # perfbench/ is a Cargo workspace of its own, so the steps above never
 # build it: a library name it imports could vanish unnoticed until the
 # benchmark runs. Build it into the root target/ so that no untracked
