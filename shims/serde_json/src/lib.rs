@@ -372,4 +372,91 @@ mod tests {
         assert_eq!(to_string(&v).unwrap(), to_string(&v).unwrap());
         assert_eq!(to_string(&v).unwrap(), r#"{"b":1,"a":2}"#);
     }
+
+    #[test]
+    fn floats_print_shortest_round_trip_and_non_finite_as_null() {
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&5e-324f64).unwrap(), "5e-324");
+        assert_eq!(to_string(&f64::MAX).unwrap(), "1.7976931348623157e308");
+        assert_eq!(to_string(&1e300f64).unwrap(), "1e300");
+        assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
+        // f32 is widened to f64 before printing.
+        assert_eq!(to_string(&0.1f32).unwrap(), "0.10000000149011612");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(to_string(&x).unwrap(), "null");
+            assert_eq!(to_string_pretty(&x).unwrap(), "null");
+        }
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(to_string(&x).unwrap(), "null");
+        }
+        assert_eq!(
+            to_string(&vec![1.5, f64::NAN, -2e-7]).unwrap(),
+            "[1.5,null,-2e-7]"
+        );
+    }
+
+    #[test]
+    fn integers_print_in_full() {
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&i64::MAX).unwrap(), "9223372036854775807");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&i8::MIN).unwrap(), "-128");
+        assert_eq!(to_string(&u8::MAX).unwrap(), "255");
+        assert_eq!(to_string(&0usize).unwrap(), "0");
+        assert_eq!(to_string(&-1i32).unwrap(), "-1");
+    }
+
+    #[test]
+    fn strings_escape_control_bytes_quotes_and_backslashes_only() {
+        let text: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/é€😀\u{7f}".chars())
+            .collect();
+        let escaped = concat!(
+            r#"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f"#,
+            r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"#,
+            r#"\"\\/é€😀"#,
+            "\u{7f}"
+        );
+        assert_eq!(to_string(&text).unwrap(), format!("\"{escaped}\""));
+        let v = Value::Object(vec![(text.clone(), Value::Str(text.clone()))]);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            format!("{{\"{escaped}\":\"{escaped}\"}}")
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            format!("{{\n  \"{escaped}\": \"{escaped}\"\n}}")
+        );
+        let back: Value = from_str(&to_string(&v).unwrap()).unwrap();
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn pretty_printing_keeps_empty_containers_bare() {
+        let v = Value::Object(vec![
+            ("a".into(), Value::Array(vec![])),
+            ("b".into(), Value::Object(vec![])),
+            (
+                "c".into(),
+                Value::Array(vec![
+                    Value::Array(vec![]),
+                    Value::Object(vec![]),
+                    Value::Array(vec![Value::Null]),
+                ]),
+            ),
+            (
+                "d".into(),
+                Value::Object(vec![("e".into(), Value::Object(vec![]))]),
+            ),
+        ]);
+        let expected = "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    [],\n    {},\n    [\n      null\n    ]\n  ],\n  \"d\": {\n    \"e\": {}\n  }\n}";
+        assert_eq!(to_string_pretty(&v).unwrap(), expected);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"a":[],"b":{},"c":[[],{},[null]],"d":{"e":{}}}"#
+        );
+        assert_eq!(to_string_pretty(&Value::Array(vec![])).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&Value::Object(vec![])).unwrap(), "{}");
+    }
 }
