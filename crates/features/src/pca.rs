@@ -32,37 +32,48 @@ pub struct Pca {
 // layout deserialize unchanged and re-serialized artifacts are
 // byte-identical.
 impl serde::Serialize for Pca {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
         let dim = self.mean.len();
-        let nested: Vec<Vec<f64>> = if dim == 0 {
-            vec![Vec::new(); self.k]
-        } else {
-            self.components.chunks(dim).map(|c| c.to_vec()).collect()
-        };
-        serde::Value::Object(vec![
-            ("mean".to_string(), self.mean.to_value()),
-            ("components".to_string(), nested.to_value()),
-            (
-                "explained_variance".to_string(),
-                self.explained_variance.to_value(),
-            ),
-            ("total_variance".to_string(), self.total_variance.to_value()),
-        ])
+        w.begin_object();
+        w.key("mean");
+        self.mean.serialize(w);
+        w.key("components");
+        w.begin_array();
+        for i in 0..self.k {
+            w.element();
+            self.components[i * dim..(i + 1) * dim].serialize(w);
+        }
+        w.end_array();
+        w.key("explained_variance");
+        self.explained_variance.serialize(w);
+        w.key("total_variance");
+        self.total_variance.serialize(w);
+        w.end_object();
     }
 }
 
 impl serde::Deserialize for Pca {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "Pca")?;
-        let mean: Vec<f64> = serde::get_field(obj, "mean", "Pca")?;
-        let nested: Vec<Vec<f64>> = serde::get_field(obj, "components", "Pca")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut mean = serde::Slot::new();
+        let mut components: serde::Slot<Vec<Vec<f64>>> = serde::Slot::new();
+        let mut explained_variance = serde::Slot::new();
+        let mut total_variance = serde::Slot::new();
+        r.object("object for Pca", |r, key| match &*key {
+            "mean" => mean.read(r),
+            "components" => components.read(r),
+            "explained_variance" => explained_variance.read(r),
+            "total_variance" => total_variance.read(r),
+            _ => r.skip(),
+        })?;
+        let mean = mean.take("mean", "Pca")?;
+        let nested = components.take("components", "Pca")?;
         let k = nested.len();
         Ok(Pca {
             mean,
             components: nested.into_iter().flatten().collect(),
             k,
-            explained_variance: serde::get_field(obj, "explained_variance", "Pca")?,
-            total_variance: serde::get_field(obj, "total_variance", "Pca")?,
+            explained_variance: explained_variance.take("explained_variance", "Pca")?,
+            total_variance: total_variance.take("total_variance", "Pca")?,
         })
     }
 }
@@ -384,7 +395,7 @@ mod tests {
 
     #[test]
     fn wire_shape_is_nested_and_round_trips() {
-        use serde::{Deserialize, Serialize, Value};
+        use serde::{Deserialize, Reader, Serialize, Value, Writer};
         let rows = vec![
             vec![1.0, 2.0, 3.0],
             vec![4.0, 0.5, 6.0],
@@ -396,7 +407,10 @@ mod tests {
         // The artifact format predates the flat component buffer: an
         // object with these exact field names in this exact order, with
         // `components` as one nested row per kept component.
-        let v = pca.to_value();
+        let mut json = Vec::new();
+        pca.serialize(&mut Writer::compact(&mut json));
+        let json = String::from_utf8(json).unwrap();
+        let v = Reader::new(&json).value().unwrap();
         let Value::Object(fields) = &v else {
             panic!("expected object")
         };
@@ -409,8 +423,11 @@ mod tests {
             panic!("components must be nested rows")
         };
         assert_eq!(comps.len(), pca.k());
+        assert!(comps
+            .iter()
+            .all(|c| matches!(c, Value::Array(row) if row.len() == 3)));
 
-        let back = Pca::from_value(&v).unwrap();
+        let back = Pca::deserialize(&mut Reader::new(&json)).unwrap();
         assert_eq!(back, pca);
         for (a, b) in back.transform(&rows[0]).iter().zip(pca.transform(&rows[0])) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -21,7 +21,7 @@
 //! `tests/artifact.rs`).
 
 use crate::error::ServeError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Slot};
 use spsel_core::cache::{Cache, KeyWriter};
 use spsel_core::corpus::{Corpus, CorpusConfig};
 use spsel_core::experiments::formatzoo::RegistryChoice;
@@ -112,14 +112,26 @@ pub struct GpuArtifact {
 impl serde::Deserialize for GpuArtifact {
     // Hand-written so `workload_labels` may be absent: pre-workload
     // artifacts keep loading (the derive demands every key).
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "GpuArtifact")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut gpu = Slot::new();
+        let mut selector = Slot::new();
+        let mut cluster_labels = Slot::new();
+        let mut workload_labels: Slot<Option<Vec<WorkloadLabels>>> = Slot::new();
+        let mut training_records = Slot::new();
+        r.object("object for GpuArtifact", |r, key| match &*key {
+            "gpu" => gpu.read(r),
+            "selector" => selector.read(r),
+            "cluster_labels" => cluster_labels.read(r),
+            "workload_labels" => workload_labels.read(r),
+            "training_records" => training_records.read(r),
+            _ => r.skip(),
+        })?;
         Ok(GpuArtifact {
-            gpu: serde::get_field(obj, "gpu", "GpuArtifact")?,
-            selector: serde::get_field(obj, "selector", "GpuArtifact")?,
-            cluster_labels: serde::get_field(obj, "cluster_labels", "GpuArtifact")?,
-            workload_labels: serde::get_field_opt(obj, "workload_labels")?.unwrap_or_default(),
-            training_records: serde::get_field(obj, "training_records", "GpuArtifact")?,
+            gpu: gpu.take("gpu", "GpuArtifact")?,
+            selector: selector.take("selector", "GpuArtifact")?,
+            cluster_labels: cluster_labels.take("cluster_labels", "GpuArtifact")?,
+            workload_labels: workload_labels.take_or(None)?.unwrap_or_default(),
+            training_records: training_records.take("training_records", "GpuArtifact")?,
         })
     }
 }
@@ -146,21 +158,68 @@ pub struct ModelArtifact {
     pub gpus: Vec<GpuArtifact>,
 }
 
+/// An artifact's top-level keys as read, each value or conversion error
+/// held, so that [`from_json`] can check the version and the registry
+/// digest before it reports anything else.
+#[derive(Default)]
+struct ArtifactFields {
+    artifact_version: Slot<u32>,
+    feature_digest: Slot<String>,
+    registry_digest: Slot<Option<String>>,
+    context_digest: Slot<String>,
+    corpus: Slot<CorpusConfig>,
+    conversion: Slot<ConversionCostModel>,
+    gpus: Slot<Vec<GpuArtifact>>,
+}
+
+impl serde::Deserialize for ArtifactFields {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut f = ArtifactFields::default();
+        r.object("object for ModelArtifact", |r, key| match &*key {
+            "artifact_version" => f.artifact_version.read(r),
+            "feature_digest" => f.feature_digest.read(r),
+            "registry_digest" => f.registry_digest.read(r),
+            "context_digest" => f.context_digest.read(r),
+            "corpus" => f.corpus.read(r),
+            "conversion" => f.conversion.read(r),
+            "gpus" => f.gpus.read(r),
+            _ => r.skip(),
+        })?;
+        Ok(f)
+    }
+}
+
+impl ArtifactFields {
+    /// The artifact, or the first missing or mistyped key in declaration
+    /// order. An absent `registry_digest` means CUSP default, so
+    /// pre-registry artifacts load.
+    fn into_artifact(self) -> Result<ModelArtifact, serde::Error> {
+        Ok(ModelArtifact {
+            artifact_version: self
+                .artifact_version
+                .take("artifact_version", "ModelArtifact")?,
+            feature_digest: self
+                .feature_digest
+                .take("feature_digest", "ModelArtifact")?,
+            registry_digest: self
+                .registry_digest
+                .take_or(None)?
+                .unwrap_or_else(|| FormatRegistry::cusp_default().digest()),
+            context_digest: self
+                .context_digest
+                .take("context_digest", "ModelArtifact")?,
+            corpus: self.corpus.take("corpus", "ModelArtifact")?,
+            conversion: self.conversion.take("conversion", "ModelArtifact")?,
+            gpus: self.gpus.take("gpus", "ModelArtifact")?,
+        })
+    }
+}
+
 impl serde::Deserialize for ModelArtifact {
     // Hand-written so `registry_digest` may be absent: pre-registry
     // artifacts load as CUSP-default models.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "ModelArtifact")?;
-        Ok(ModelArtifact {
-            artifact_version: serde::get_field(obj, "artifact_version", "ModelArtifact")?,
-            feature_digest: serde::get_field(obj, "feature_digest", "ModelArtifact")?,
-            registry_digest: serde::get_field_opt(obj, "registry_digest")?
-                .unwrap_or_else(|| FormatRegistry::cusp_default().digest()),
-            context_digest: serde::get_field(obj, "context_digest", "ModelArtifact")?,
-            corpus: serde::get_field(obj, "corpus", "ModelArtifact")?,
-            conversion: serde::get_field(obj, "conversion", "ModelArtifact")?,
-            gpus: serde::get_field(obj, "gpus", "ModelArtifact")?,
-        })
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        ArtifactFields::deserialize(r)?.into_artifact()
     }
 }
 
@@ -352,33 +411,32 @@ pub fn to_json(artifact: &ModelArtifact) -> String {
 /// provides; absent means CUSP default, so pre-registry artifacts keep
 /// loading).
 pub fn from_json(payload: &str) -> Result<ModelArtifact, ServeError> {
-    let value: serde::Value = serde_json::from_str(payload).map_err(|e| ServeError::Malformed {
+    let malformed = |e: serde::Error| ServeError::Malformed {
         message: e.to_string(),
-    })?;
-    let fields =
-        serde::expect_object(&value, "ModelArtifact").map_err(|e| ServeError::Malformed {
-            message: e.to_string(),
-        })?;
-    let found: u32 =
-        serde::get_field(fields, "artifact_version", "ModelArtifact").map_err(|e| {
-            ServeError::Malformed {
-                message: e.to_string(),
-            }
-        })?;
+    };
+    // One pass over the bytes: syntax errors surface here, every key's
+    // conversion waits in its slot.
+    let fields: ArtifactFields = serde_json::from_str(payload).map_err(malformed)?;
+    let found = fields
+        .artifact_version
+        .clone()
+        .take("artifact_version", "ModelArtifact")
+        .map_err(malformed)?;
     if found != ARTIFACT_VERSION {
         return Err(ServeError::VersionMismatch {
             found,
             expected: ARTIFACT_VERSION,
         });
     }
-    // Registry digest is also peeked before the full decode: a model
+    // Registry digest is also checked before the full decode: a model
     // trained over a format set this build does not provide must get the
     // precise mismatch error even if the rest of the payload has drifted
     // with it.
-    let registry_digest: String = serde::get_field_opt(fields, "registry_digest")
-        .map_err(|e| ServeError::Malformed {
-            message: e.to_string(),
-        })?
+    let registry_digest = fields
+        .registry_digest
+        .clone()
+        .take_or(None)
+        .map_err(malformed)?
         .unwrap_or_else(|| FormatRegistry::cusp_default().digest());
     if registry_for_digest(&registry_digest).is_none() {
         return Err(ServeError::RegistryDigestMismatch {
@@ -386,9 +444,7 @@ pub fn from_json(payload: &str) -> Result<ModelArtifact, ServeError> {
             expected: known_registry_digests(),
         });
     }
-    let artifact = ModelArtifact::from_value(&value).map_err(|e| ServeError::Malformed {
-        message: e.to_string(),
-    })?;
+    let artifact = fields.into_artifact().map_err(malformed)?;
     let expected = feature_pipeline_digest();
     if artifact.feature_digest != expected {
         return Err(ServeError::FeatureDigestMismatch {
@@ -536,7 +592,7 @@ mod tests {
     fn missing_registry_digest_defaults_to_cusp_default() {
         // Pre-registry artifacts never serialized the field; they must
         // decode as CUSP-default models.
-        let v: serde::Value = serde_json::from_str(
+        let fields: ArtifactFields = serde_json::from_str(
             r#"{"artifact_version": 1,
                 "feature_digest": "aa",
                 "context_digest": "bb",
@@ -545,8 +601,7 @@ mod tests {
                 "gpus": []}"#,
         )
         .unwrap();
-        let obj = serde::expect_object(&v, "ModelArtifact").unwrap();
-        let digest: Option<String> = serde::get_field_opt(obj, "registry_digest").unwrap();
+        let digest = fields.registry_digest.take_or(None).unwrap();
         assert!(digest.is_none());
         assert_eq!(
             digest.unwrap_or_else(|| FormatRegistry::cusp_default().digest()),

@@ -169,6 +169,12 @@ impl WriteBuf {
         self.data.extend_from_slice(bytes);
     }
 
+    /// Append one JSON reply line, encoded straight into the buffer.
+    fn push_json(&mut self, response: &Response) {
+        serde_json::to_writer(&mut self.data, response).expect("response serializes");
+        self.data.push(b'\n');
+    }
+
     fn pending(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -464,19 +470,15 @@ fn sniff(conn: &mut Conn, eof: bool) {
                 MAGIC
             ),
         };
-        push_json_response(conn, &Response::from_error(&e));
+        conn.wbuf.push_json(&Response::from_error(&e));
         conn.draining = true;
     }
 }
 
-fn push_json_response(conn: &mut Conn, response: &Response) {
-    let payload = serde_json::to_string(response).expect("response serializes");
-    conn.wbuf.push(payload.as_bytes());
-    conn.wbuf.push(b"\n");
-}
-
 /// Answer every complete JSON line in the buffer (and, at EOF, a final
-/// unterminated line, matching the old reader-loop behavior).
+/// unterminated line, matching the old reader-loop behavior). Each line
+/// is decoded where it lies; the answered prefix is dropped once, at the
+/// end.
 fn process_json(
     conn: &mut Conn,
     engine: &Engine,
@@ -484,45 +486,45 @@ fn process_json(
     cfg: &LoopConfig,
     eof: bool,
 ) {
+    let mut answered = 0;
     loop {
-        let line_end = conn.inbuf.iter().position(|&b| b == b'\n');
-        let line = match line_end {
-            Some(end) => {
-                let line: Vec<u8> = conn.inbuf.drain(..=end).collect();
-                line
-            }
-            None if eof && !conn.inbuf.is_empty() => std::mem::take(&mut conn.inbuf),
+        let rest = &conn.inbuf[answered..];
+        let (line, len) = match rest.iter().position(|&b| b == b'\n') {
+            Some(end) => (&rest[..end], end + 1),
+            None if eof && !rest.is_empty() => (rest, rest.len()),
             None => {
-                if conn.inbuf.len() > MAX_JSON_LINE {
+                if rest.len() > MAX_JSON_LINE {
                     let e = ServeError::BadRequest {
                         message: format!(
                             "request line exceeds {MAX_JSON_LINE} bytes without a newline"
                         ),
                     };
-                    push_json_response(conn, &Response::from_error(&e));
+                    conn.wbuf.push_json(&Response::from_error(&e));
                     conn.draining = true;
                 }
-                return;
+                break;
             }
         };
-        let line = String::from_utf8_lossy(&line);
+        answered += len;
+        let line = String::from_utf8_lossy(line);
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        if let Some(shed) = shed_check(conn, engine, cfg, false) {
-            push_json_response(conn, &shed);
+        if let Some(shed) = shed_check(&conn.wbuf, engine, cfg, false) {
+            conn.wbuf.push_json(&shed);
             continue;
         }
         let (response, stop) = handle_line(engine, line, conn.arrival, cfg.default_deadline_ms);
-        push_json_response(conn, &response);
+        conn.wbuf.push_json(&response);
         engine.metrics().record_latency(conn.arrival.elapsed());
         if stop {
             shutdown.store(true, Ordering::SeqCst);
             conn.draining = true;
-            return;
+            break;
         }
     }
+    conn.inbuf.drain(..answered);
 }
 
 /// Answer every complete binary frame in the buffer. Framing errors
@@ -567,7 +569,7 @@ fn process_binary(
         };
         engine.metrics().request();
         engine.metrics().binary_request();
-        if let Some(shed) = shed_check(conn, engine, cfg, true) {
+        if let Some(shed) = shed_check(&conn.wbuf, engine, cfg, true) {
             conn.wbuf.push(&framing::encode_response(&shed));
             continue;
         }
@@ -592,8 +594,13 @@ fn process_binary(
 /// gets `shed` envelopes instead of compute until it catches up. The
 /// envelope is a few dozen bytes, so shedding itself cannot blow the
 /// buffer up further in any meaningful way.
-fn shed_check(conn: &Conn, engine: &Engine, cfg: &LoopConfig, counted: bool) -> Option<Response> {
-    if cfg.shed_buffer_bytes == 0 || conn.wbuf.pending() < cfg.shed_buffer_bytes {
+fn shed_check(
+    wbuf: &WriteBuf,
+    engine: &Engine,
+    cfg: &LoopConfig,
+    counted: bool,
+) -> Option<Response> {
+    if cfg.shed_buffer_bytes == 0 || wbuf.pending() < cfg.shed_buffer_bytes {
         return None;
     }
     if !counted {
@@ -601,7 +608,7 @@ fn shed_check(conn: &Conn, engine: &Engine, cfg: &LoopConfig, counted: bool) -> 
     }
     engine.metrics().shed();
     Some(Response::from_error(&ServeError::Shed {
-        pending_bytes: conn.wbuf.pending(),
+        pending_bytes: wbuf.pending(),
         threshold_bytes: cfg.shed_buffer_bytes,
     }))
 }

@@ -10,7 +10,7 @@
 //! See the README for one worked request/response example per type.
 
 use crate::error::{ErrorEnvelope, ServeError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Slot};
 use spsel_core::telemetry::ServingReport;
 use spsel_gpusim::Gpu;
 use spsel_matrix::{Format, Workload};
@@ -43,15 +43,29 @@ pub struct SelectBody {
 }
 
 impl serde::Deserialize for SelectBody {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "SelectBody")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut matrix = Slot::new();
+        let mut features = Slot::new();
+        let mut gpu = Slot::new();
+        let mut iterations = Slot::new();
+        let mut learn = Slot::new();
+        let mut workload = Slot::new();
+        r.object("object for SelectBody", |r, key| match &*key {
+            "matrix" => matrix.read(r),
+            "features" => features.read(r),
+            "gpu" => gpu.read(r),
+            "iterations" => iterations.read(r),
+            "learn" => learn.read(r),
+            "workload" => workload.read(r),
+            _ => r.skip(),
+        })?;
         Ok(SelectBody {
-            matrix: serde::get_field_opt(obj, "matrix")?,
-            features: serde::get_field_opt(obj, "features")?,
-            gpu: serde::get_field(obj, "gpu", "SelectBody")?,
-            iterations: serde::get_field_opt(obj, "iterations")?,
-            learn: serde::get_field_opt(obj, "learn")?,
-            workload: serde::get_field_opt(obj, "workload")?,
+            matrix: matrix.take_or(None)?,
+            features: features.take_or(None)?,
+            gpu: gpu.take("gpu", "SelectBody")?,
+            iterations: iterations.take_or(None)?,
+            learn: learn.take_or(None)?,
+            workload: workload.take_or(None)?,
         })
     }
 }
@@ -127,61 +141,101 @@ pub enum Request {
 }
 
 impl serde::Deserialize for Request {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => match s.as_str() {
-                "Stats" => Ok(Request::Stats),
-                "Shutdown" => Ok(Request::Shutdown),
-                other => Err(serde::Error::unknown_variant(other, "Request")),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        r.variant(
+            "Request",
+            |name| match name {
+                "Stats" => Some(Request::Stats),
+                "Shutdown" => Some(Request::Shutdown),
+                _ => None,
             },
-            serde::Value::Object(pairs) if pairs.len() == 1 => {
-                let (key, val) = &pairs[0];
-                match key.as_str() {
-                    "Select" => {
-                        let obj = serde::expect_object(val, "Request::Select")?;
-                        Ok(Request::Select {
-                            matrix: serde::get_field_opt(obj, "matrix")?,
-                            features: serde::get_field_opt(obj, "features")?,
-                            gpu: serde::get_field(obj, "gpu", "Request::Select")?,
-                            iterations: serde::get_field_opt(obj, "iterations")?,
-                            deadline_ms: serde::get_field_opt(obj, "deadline_ms")?,
-                            learn: serde::get_field_opt(obj, "learn")?,
-                            workload: serde::get_field_opt(obj, "workload")?,
-                        })
-                    }
-                    "Batch" => {
-                        let obj = serde::expect_object(val, "Request::Batch")?;
-                        Ok(Request::Batch {
-                            requests: serde::get_field(obj, "requests", "Request::Batch")?,
-                            deadline_ms: serde::get_field_opt(obj, "deadline_ms")?,
-                        })
-                    }
-                    "Feedback" => {
-                        let obj = serde::expect_object(val, "Request::Feedback")?;
-                        Ok(Request::Feedback {
-                            gpu: serde::get_field(obj, "gpu", "Request::Feedback")?,
-                            cluster: serde::get_field(obj, "cluster", "Request::Feedback")?,
-                            best: serde::get_field(obj, "best", "Request::Feedback")?,
-                        })
-                    }
-                    "Swap" => {
-                        let obj = serde::expect_object(val, "Request::Swap")?;
-                        Ok(Request::Swap {
-                            path: serde::get_field(obj, "path", "Request::Swap")?,
-                            expected_digest: serde::get_field_opt(obj, "expected_digest")?,
-                        })
-                    }
-                    "Sync" => {
-                        let obj = serde::expect_object(val, "Request::Sync")?;
-                        Ok(Request::Sync {
-                            from_seq: serde::get_field(obj, "from_seq", "Request::Sync")?,
-                        })
-                    }
-                    other => Err(serde::Error::unknown_variant(other, "Request")),
+            |r, name| match name {
+                "Select" => {
+                    let mut matrix = Slot::new();
+                    let mut features = Slot::new();
+                    let mut gpu = Slot::new();
+                    let mut iterations = Slot::new();
+                    let mut deadline_ms = Slot::new();
+                    let mut learn = Slot::new();
+                    let mut workload = Slot::new();
+                    r.object("object for Request::Select", |r, key| match &*key {
+                        "matrix" => matrix.read(r),
+                        "features" => features.read(r),
+                        "gpu" => gpu.read(r),
+                        "iterations" => iterations.read(r),
+                        "deadline_ms" => deadline_ms.read(r),
+                        "learn" => learn.read(r),
+                        "workload" => workload.read(r),
+                        _ => r.skip(),
+                    })?;
+                    Ok(Request::Select {
+                        matrix: matrix.take_or(None)?,
+                        features: features.take_or(None)?,
+                        gpu: gpu.take("gpu", "Request::Select")?,
+                        iterations: iterations.take_or(None)?,
+                        deadline_ms: deadline_ms.take_or(None)?,
+                        learn: learn.take_or(None)?,
+                        workload: workload.take_or(None)?,
+                    })
                 }
-            }
-            other => Err(serde::Error::expected("variant of Request", other.kind())),
-        }
+                "Batch" => {
+                    let mut requests = Slot::new();
+                    let mut deadline_ms = Slot::new();
+                    r.object("object for Request::Batch", |r, key| match &*key {
+                        "requests" => requests.read(r),
+                        "deadline_ms" => deadline_ms.read(r),
+                        _ => r.skip(),
+                    })?;
+                    Ok(Request::Batch {
+                        requests: requests.take("requests", "Request::Batch")?,
+                        deadline_ms: deadline_ms.take_or(None)?,
+                    })
+                }
+                "Feedback" => {
+                    let mut gpu = Slot::new();
+                    let mut cluster = Slot::new();
+                    let mut best = Slot::new();
+                    r.object("object for Request::Feedback", |r, key| match &*key {
+                        "gpu" => gpu.read(r),
+                        "cluster" => cluster.read(r),
+                        "best" => best.read(r),
+                        _ => r.skip(),
+                    })?;
+                    Ok(Request::Feedback {
+                        gpu: gpu.take("gpu", "Request::Feedback")?,
+                        cluster: cluster.take("cluster", "Request::Feedback")?,
+                        best: best.take("best", "Request::Feedback")?,
+                    })
+                }
+                "Swap" => {
+                    let mut path = Slot::new();
+                    let mut expected_digest = Slot::new();
+                    r.object("object for Request::Swap", |r, key| match &*key {
+                        "path" => path.read(r),
+                        "expected_digest" => expected_digest.read(r),
+                        _ => r.skip(),
+                    })?;
+                    Ok(Request::Swap {
+                        path: path.take("path", "Request::Swap")?,
+                        expected_digest: expected_digest.take_or(None)?,
+                    })
+                }
+                "Sync" => {
+                    let mut from_seq = Slot::new();
+                    r.object("object for Request::Sync", |r, key| match &*key {
+                        "from_seq" => from_seq.read(r),
+                        _ => r.skip(),
+                    })?;
+                    Ok(Request::Sync {
+                        from_seq: from_seq.take("from_seq", "Request::Sync")?,
+                    })
+                }
+                other => {
+                    r.skip()?;
+                    Err(serde::Error::unknown_variant(other, "Request"))
+                }
+            },
+        )
     }
 }
 

@@ -1,14 +1,31 @@
 //! Offline stand-in for `serde`.
 //!
-//! Serialization here goes through an owned JSON-like [`Value`] tree rather
-//! than upstream serde's visitor machinery — much smaller, and exactly what
+//! Much smaller than upstream serde's visitor machinery, and exactly what
 //! the workspace needs: `#[derive(Serialize, Deserialize)]` on plain data
-//! types plus JSON encoding via the sibling `serde_json` shim.
+//! types, with JSON as the one data format (the sibling `serde_json`
+//! shim is its entry point).
 //!
-//! Object keys keep insertion order (a `Vec` of pairs, not a map), so
-//! encodings are deterministic and cached artifacts are byte-stable.
+//! Both directions work on bytes, with no value tree in between:
+//!
+//! * [`Serialize`] appends compact or pretty JSON to a byte buffer
+//!   through one [`Writer`]. Object keys keep declaration order, so
+//!   encodings are deterministic and cached artifacts are byte-stable.
+//! * [`Deserialize`] reads one JSON value straight from the bytes
+//!   through a [`Reader`]. Syntax errors end the document at once. A
+//!   conversion error (a wrong type, a missing key) is held while the
+//!   reader finishes the document, so a later syntax error still wins,
+//!   and struct fields report in declaration order.
+//!
+//! [`Value`] is the one tree type, for callers that want a document
+//! without a schema; it serializes and deserializes like any other type.
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod read;
+mod write;
+
+pub use read::{Reader, Scalar, MAX_DEPTH};
+pub use write::Writer;
 
 /// Owned JSON-like value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,26 +75,37 @@ impl Value {
 #[derive(Debug, Clone)]
 pub struct Error {
     msg: String,
+    /// The bytes are not JSON (as opposed to JSON of the wrong shape).
+    syntax: bool,
 }
 
 impl Error {
-    /// Free-form error.
+    /// Free-form conversion error.
     pub fn msg(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
+        Error {
+            msg: msg.into(),
+            syntax: false,
+        }
     }
 
     /// "expected X, found Y" error.
     pub fn expected(what: &str, found: &str) -> Self {
-        Error {
-            msg: format!("expected {what}, found {found}"),
-        }
+        Error::msg(format!("expected {what}, found {found}"))
     }
 
     /// Unknown enum variant error.
     pub fn unknown_variant(variant: &str, ty: &str) -> Self {
-        Error {
-            msg: format!("unknown variant `{variant}` for {ty}"),
-        }
+        Error::msg(format!("unknown variant `{variant}` for {ty}"))
+    }
+
+    fn syntax(msg: String) -> Self {
+        Error { msg, syntax: true }
+    }
+
+    /// Whether the input is not JSON at all. Such an error ends the
+    /// document; any other waits for the reader to finish it.
+    pub fn is_syntax(&self) -> bool {
+        self.syntax
     }
 }
 
@@ -89,82 +117,163 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types convertible to a [`Value`].
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Convert to a value tree.
-    fn to_value(&self) -> Value;
+    /// Append this value's JSON to `w`.
+    fn serialize(&self, w: &mut Writer<'_>);
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types that read themselves from JSON.
+///
+/// `deserialize` reads exactly one value. On success, and on a
+/// conversion error, the reader is left just past that value, so the
+/// caller can go on with the document; after a syntax error the
+/// reader's position means nothing.
 pub trait Deserialize: Sized {
-    /// Reconstruct from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Read one value of this type.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// Read a JSON array of this type. Numbers override it to collect
+    /// through a stack buffer, so a short array allocates once, at its
+    /// final length.
+    fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        let mut items = Vec::new();
+        let mut failed = None;
+        r.array("array", |r| {
+            if failed.is_some() {
+                return r.skip();
+            }
+            match hold(Self::deserialize(r))? {
+                Ok(item) => items.push(item),
+                Err(e) => failed = Some(e),
+            }
+            Ok(())
+        })?;
+        failed.map_or(Ok(items), Err)
+    }
 }
 
-/// Helper used by derived code: borrow `v` as an object.
-pub fn expect_object<'a>(v: &'a Value, ty: &str) -> Result<&'a [(String, Value)], Error> {
-    v.as_object()
-        .ok_or_else(|| Error::expected(&format!("object for {ty}"), v.kind()))
+/// Split a result: a syntax error ends the document (`Err`), anything
+/// else is the caller's to keep (`Ok`).
+fn hold<T>(result: Result<T, Error>) -> Result<Result<T, Error>, Error> {
+    match result {
+        Err(e) if e.syntax => Err(e),
+        other => Ok(other),
+    }
 }
 
-/// Helper used by derived code: extract and deserialize field `key`.
-pub fn get_field<T: Deserialize>(obj: &[(String, Value)], key: &str, ty: &str) -> Result<T, Error> {
-    let v = obj
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::msg(format!("missing field `{key}` in {ty}")))?;
-    T::from_value(v)
+/// One struct field while its object is read: empty until the key
+/// appears, then the first occurrence's value or conversion error. The
+/// derive builds one per field and takes them in declaration order, which
+/// fixes the order conversion errors report in.
+#[derive(Debug, Clone)]
+pub struct Slot<T>(Option<Result<T, Error>>);
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot(None)
+    }
 }
 
-/// Helper for hand-written impls of backwards-compatible formats: extract
-/// field `key` if present, yielding `None` when the key is absent or
-/// `null`. Unlike [`get_field`] with an `Option<T>` target (which still
-/// demands the key exist), this is what "optional field added in a later
-/// schema version" actually needs.
-pub fn get_field_opt<T: Deserialize>(
-    obj: &[(String, Value)],
-    key: &str,
-) -> Result<Option<T>, Error> {
-    match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => T::from_value(v).map(Some),
+impl<T> Slot<T> {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Slot(None)
+    }
+
+    /// The value of a required key.
+    pub fn take(self, key: &str, ty: &str) -> Result<T, Error> {
+        self.0
+            .unwrap_or_else(|| Err(Error::msg(format!("missing field `{key}` in {ty}"))))
+    }
+
+    /// The value of a key that may be absent: `absent` when it is.
+    pub fn take_or(self, absent: T) -> Result<T, Error> {
+        self.0.unwrap_or(Ok(absent))
+    }
+}
+
+impl<T: Deserialize> Slot<T> {
+    /// Read this key's value. A repeated key is only checked for
+    /// syntax: the first occurrence counts.
+    pub fn read(&mut self, r: &mut Reader<'_>) -> Result<(), Error> {
+        if self.0.is_some() {
+            return r.skip();
+        }
+        self.0 = Some(hold(T::deserialize(r))?);
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------------- primitives
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.scalar()? {
+            Scalar::Bool(b) => Ok(b),
             other => Err(Error::expected("bool", other.kind())),
         }
+    }
+}
+
+/// Collect a JSON array of numbers through a stack buffer: up to 32 of
+/// them allocate once, at their final length.
+fn number_vec<T: Deserialize + Copy + Default>(r: &mut Reader<'_>) -> Result<Vec<T>, Error> {
+    let mut buf = [T::default(); 32];
+    let mut n = 0;
+    let mut spilled = Vec::new();
+    let mut failed = None;
+    r.array("array", |r| {
+        if failed.is_some() {
+            return r.skip();
+        }
+        match hold(T::deserialize(r))? {
+            Ok(x) if n < buf.len() => {
+                buf[n] = x;
+                n += 1;
+            }
+            Ok(x) => {
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&buf);
+                }
+                spilled.push(x);
+            }
+            Err(e) => failed = Some(e),
+        }
+        Ok(())
+    })?;
+    match failed {
+        Some(e) => Err(e),
+        None if spilled.is_empty() => Ok(buf[..n].to_vec()),
+        None => Ok(spilled),
     }
 }
 
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw = match v {
-                    Value::UInt(u) => *u,
-                    Value::Int(i) if *i >= 0 => *i as u64,
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw = match r.scalar()? {
+                    Scalar::UInt(u) => u,
+                    Scalar::Int(i) if i >= 0 => i as u64,
                     other => return Err(Error::expected("unsigned integer", other.kind())),
                 };
                 <$t>::try_from(raw)
                     .map_err(|_| Error::msg(format!("{raw} out of range for {}", stringify!($t))))
+            }
+            fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+                number_vec(r)
             }
         }
     )*};
@@ -174,21 +283,23 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let i = *self as i64;
-                if i >= 0 { Value::UInt(i as u64) } else { Value::Int(i) }
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw: i64 = match v {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) => i64::try_from(*u)
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw: i64 = match r.scalar()? {
+                    Scalar::Int(i) => i,
+                    Scalar::UInt(u) => i64::try_from(u)
                         .map_err(|_| Error::msg(format!("{u} out of range for i64")))?,
                     other => return Err(Error::expected("integer", other.kind())),
                 };
                 <$t>::try_from(raw)
                     .map_err(|_| Error::msg(format!("{raw} out of range for {}", stringify!($t))))
+            }
+            fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+                number_vec(r)
             }
         }
     )*};
@@ -198,20 +309,23 @@ impl_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                match r.scalar()? {
+                    Scalar::Float(f) => Ok(f as $t),
+                    Scalar::Int(i) => Ok(i as $t),
+                    Scalar::UInt(u) => Ok(u as $t),
                     // Non-finite floats are encoded as null (JSON has no NaN).
-                    Value::Null => Ok(<$t>::NAN),
+                    Scalar::Null => Ok(<$t>::NAN),
                     other => Err(Error::expected("number", other.kind())),
                 }
+            }
+            fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+                number_vec(r)
             }
         }
     )*};
@@ -219,88 +333,91 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.scalar()? {
+            Scalar::Str(s) => Ok(s.into_owned()),
             other => Err(Error::expected("string", other.kind())),
         }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 // -------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => w.null(),
+            Some(x) => x.serialize(w),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other.kind())),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        for item in self {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_array();
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize_vec(r)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let items: Vec<T> = Vec::deserialize(r)?;
         let n = items.len();
         items
             .try_into()
@@ -311,23 +428,34 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 macro_rules! impl_tuple {
     ($(($($t:ident : $idx:tt),+),)*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Array(items) => {
-                        let expected = [$(stringify!($idx)),+].len();
-                        if items.len() != expected {
-                            return Err(Error::msg(format!(
-                                "expected tuple of length {expected}, got {}", items.len())));
-                        }
-                        Ok(($($t::from_value(&items[$idx])?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let mut slots = ($(Slot::<$t>::new(),)+);
+                let mut n = 0usize;
+                r.array("array (tuple)", |r| {
+                    match n {
+                        $($idx => slots.$idx.read(r)?,)+
+                        _ => r.skip()?,
                     }
-                    other => Err(Error::expected("array (tuple)", other.kind())),
+                    n += 1;
+                    Ok(())
+                })?;
+                let expected = [$(stringify!($idx)),+].len();
+                if n != expected {
+                    return Err(Error::msg(format!(
+                        "expected tuple of length {expected}, got {n}")));
                 }
+                // Every slot was read once, so none is missing.
+                Ok(($(slots.$idx.take("", "")?,)+))
             }
         }
     )*};
@@ -340,13 +468,29 @@ impl_tuple! {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(i) => w.i64(*i),
+            Value::UInt(u) => w.u64(*u),
+            Value::Float(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(pairs) => {
+                w.begin_object();
+                for (key, value) in pairs {
+                    w.key(key);
+                    value.serialize(w);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }

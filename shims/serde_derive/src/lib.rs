@@ -4,6 +4,13 @@
 //! the shapes this workspace serializes: non-generic named-field structs and
 //! enums whose variants are unit or struct-like. Tuple structs, tuple
 //! variants, generics and `#[serde(...)]` attributes are rejected loudly.
+//!
+//! The generated code writes and reads JSON directly: `Serialize` emits
+//! each key literal and the field's own write, and `Deserialize` emits a
+//! key dispatch that reads each field into a `serde::Slot`, then takes
+//! the slots in declaration order. Structs are objects; enums are
+//! externally tagged (a unit variant is a bare string, a struct variant a
+//! one-key object).
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
@@ -137,44 +144,59 @@ fn parse(input: TokenStream) -> (String, Shape) {
     (name, shape)
 }
 
-/// Derive `serde::Serialize` (value-tree form).
+/// `Serialize` body writing the named fields of `base` (an expression
+/// prefix such as `&self.`, or empty for bindings) as one object.
+fn write_fields(fields: &[String], base: &str) -> String {
+    let members: String = fields
+        .iter()
+        .map(|f| format!("__w.key(\"{f}\"); ::serde::Serialize::serialize({base}{f}, __w);"))
+        .collect();
+    format!("__w.begin_object(); {members} __w.end_object();")
+}
+
+/// `Deserialize` body reading an object of type name `ty` into the named
+/// fields and building `ctor { fields }` from them.
+fn read_fields(fields: &[String], ty: &str, ctor: &str) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{f} = ::serde::Slot::new();"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| format!("\"{f}\" => __f_{f}.read(__r),"))
+        .collect();
+    let inits: String = fields
+        .iter()
+        .map(|f| format!("{f}: __f_{f}.take(\"{f}\", \"{ty}\")?,"))
+        .collect();
+    format!(
+        "{slots}\n\
+         __r.object(\"object for {ty}\", |__r, __k| match &*__k {{\n\
+             {arms}\n\
+             _ => __r.skip(),\n\
+         }})?;\n\
+         ::std::result::Result::Ok({ctor} {{ {inits} }})"
+    )
+}
+
+/// Derive `serde::Serialize`: write the value as JSON.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input);
     let body = match &shape {
-        Shape::Struct(fields) => {
-            let pairs: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Object(vec![{pairs}])")
-        }
+        Shape::Struct(fields) => write_fields(fields, "&self."),
         Shape::Enum(variants) => {
             let arms: String = variants
                 .iter()
                 .map(|(v, fields)| match fields {
-                    None => format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
+                    None => format!("{name}::{v} => __w.str(\"{v}\"),"),
+                    Some(fs) => format!(
+                        "{name}::{v} {{ {binds} }} => {{\n\
+                             __w.begin_object(); __w.key(\"{v}\"); {inner} __w.end_object();\n\
+                         }},",
+                        binds = fs.join(", "),
+                        inner = write_fields(fs, ""),
                     ),
-                    Some(fs) => {
-                        let binds = fs.join(", ");
-                        let pairs: String = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({f})),"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Object(vec![\
-                             (::std::string::String::from(\"{v}\"), ::serde::Value::Object(vec![{pairs}]))]),"
-                        )
-                    }
                 })
                 .collect();
             format!("match self {{ {arms} }}")
@@ -182,73 +204,55 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{ {body} }}\n\
          }}"
     )
     .parse()
     .expect("serde derive: generated Serialize impl must parse")
 }
 
-/// Derive `serde::Deserialize` (value-tree form).
+/// Derive `serde::Deserialize`: read the value from JSON.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input);
     let body = match &shape {
-        Shape::Struct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::get_field(__obj, \"{f}\", \"{name}\")?,"))
-                .collect();
-            format!(
-                "let __obj = ::serde::expect_object(__v, \"{name}\")?;\n\
-                 ::std::result::Result::Ok({name} {{ {inits} }})"
-            )
-        }
+        Shape::Struct(fields) => read_fields(fields, &name, &name),
         Shape::Enum(variants) => {
             let unit_arms: String = variants
                 .iter()
                 .filter(|(_, f)| f.is_none())
-                .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
+                .map(|(v, _)| format!("\"{v}\" => ::std::option::Option::Some({name}::{v}),"))
                 .collect();
             let data_arms: String = variants
                 .iter()
                 .filter_map(|(v, f)| f.as_ref().map(|fs| (v, fs)))
                 .map(|(v, fs)| {
-                    let inits: String = fs
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::get_field(__inner, \"{f}\", \"{name}::{v}\")?,")
-                        })
-                        .collect();
                     format!(
-                        "\"{v}\" => {{\n\
-                            let __inner = ::serde::expect_object(__val, \"{name}::{v}\")?;\n\
-                            ::std::result::Result::Ok({name}::{v} {{ {inits} }})\n\
-                         }},"
+                        "\"{v}\" => {{ {} }},",
+                        read_fields(fs, &format!("{name}::{v}"), &format!("{name}::{v}"))
                     )
                 })
                 .collect();
             format!(
-                "match __v {{\n\
-                    ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+                "__r.variant(\"{name}\",\n\
+                    |__s| match __s {{\n\
                         {unit_arms}\n\
-                        __other => ::std::result::Result::Err(::serde::Error::unknown_variant(__other, \"{name}\")),\n\
+                        _ => ::std::option::Option::None,\n\
                     }},\n\
-                    ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{\n\
-                        let (__key, __val) = &__pairs[0];\n\
-                        match __key.as_str() {{\n\
-                            {data_arms}\n\
-                            __other => ::std::result::Result::Err(::serde::Error::unknown_variant(__other, \"{name}\")),\n\
+                    |__r, __k| match __k {{\n\
+                        {data_arms}\n\
+                        _ => {{\n\
+                            __r.skip()?;\n\
+                            ::std::result::Result::Err(::serde::Error::unknown_variant(__k, \"{name}\"))\n\
                         }}\n\
                     }},\n\
-                    __other => ::std::result::Result::Err(::serde::Error::expected(\"variant of {name}\", __other.kind())),\n\
-                }}"
+                )"
             )
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+             fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
                  {body}\n\
              }}\n\
          }}"
