@@ -31,7 +31,9 @@ pub struct AmortizedChoice {
 ///
 /// `formats` must contain [`Format::Csr`] (every registry does); entries
 /// absent from `formats` are never chosen even if `times` has them, and
-/// infeasible (out-of-memory) formats are never chosen.
+/// only finite totals compete, so infeasible (out-of-memory) formats are
+/// never chosen. When no total is finite (CSR itself does not fit), the
+/// answer is CSR, the format the matrix already has.
 pub fn amortized_best_workload(
     times: &WorkloadTimes,
     formats: &[Format],
@@ -50,6 +52,7 @@ pub fn amortized_best_workload(
     let (format, total_us) = formats
         .iter()
         .map(|&f| (f, total(f)))
+        .filter(|(_, t)| t.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap_or((Format::Csr, csr_total));
     AmortizedChoice {
@@ -169,6 +172,22 @@ mod tests {
         assert_eq!(break_even_iterations(&t, &conv(), Format::Ell), None);
         let c = amortized_best(&t, &conv(), 100_000);
         assert_ne!(c.format, Format::Ell);
+    }
+
+    #[test]
+    fn nothing_fits_stays_csr() {
+        // Every format is infeasible, CSR too: every total is infinite,
+        // and the first format of the set must not win by default.
+        let wt = WorkloadTimes {
+            us: [f64::INFINITY; Format::UNIVERSE_COUNT],
+        };
+        let c = amortized_best_workload(&wt, &Format::ALL, &conv(), 1_000);
+        assert_eq!(Format::ALL[0], Format::Coo);
+        assert_eq!(c.format, Format::Csr);
+        assert_eq!(c.total_us, f64::INFINITY);
+        assert_eq!(c.csr_total_us, f64::INFINITY);
+        let t = times([10.0, f64::INFINITY, 5.0, 5.0]);
+        assert_eq!(amortized_best(&t, &conv(), 1_000_000).format, Format::Csr);
     }
 
     #[test]

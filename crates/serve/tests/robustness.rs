@@ -849,14 +849,60 @@ fn non_finite_inline_features_are_bad_requests_that_change_nothing() {
 
 /// Finite but absurd inline features (`1e300` everywhere) price without
 /// overflowing: the stats rebuilt from them saturate at `usize::MAX`,
-/// and the select gets a reply, learning or not.
+/// and the select gets a reply, learning or not. No format fits, so the
+/// amortized answer is CSR, the format the matrix already has.
 #[test]
 fn huge_finite_inline_features_get_a_reply() {
     let engine = Engine::from_artifact(model(), &EngineOptions::default()).unwrap();
     for learn in [false, true] {
         let line = inline_select_line("1e300", learn);
         let (reply, _) = server::handle_line(&engine, &line, Instant::now(), 0);
+        let json = serde_json::to_string(&reply).unwrap();
+        assert!(json.contains("\"amortized_format\":\"CSR\""), "{json}");
         let select = reply.select.expect("a select reply");
         assert_eq!(select.predicted.len(), 4);
     }
+}
+
+/// A JSON line nested far past the reader's depth cap (1 MiB of `[`)
+/// is one `bad_request`, not a stack overflow: the only worker answers
+/// the select pipelined behind it on the same connection, and the next
+/// connection too.
+#[test]
+fn deeply_nested_json_is_a_bad_request_and_the_worker_keeps_serving() {
+    let (addr, handle) = start_server(single_worker());
+    let select = serde_json::to_string(&select_request(5)).unwrap();
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut conversation = vec![b'['; 1 << 20];
+    conversation.push(b'\n');
+    conversation.extend_from_slice(select.as_bytes());
+    conversation.push(b'\n');
+    stream.write_all(&conversation).unwrap();
+
+    let mut lines = BufReader::new(stream).lines();
+    let mut reply = || -> Response {
+        let line = lines.next().expect("a reply line").expect("readable");
+        serde_json::from_str(&line).expect("parses")
+    };
+    let refused = reply();
+    let error = refused.error.expect("an error envelope");
+    assert_eq!(error.code, "bad_request");
+    assert!(
+        error.message.contains("nesting deeper than 128 levels"),
+        "{}",
+        error.message
+    );
+    assert!(reply().select.is_some(), "the pipelined select is answered");
+
+    let mut client = Client::connect(addr).expect("a new connection");
+    assert!(client
+        .roundtrip(&select_request(5))
+        .unwrap()
+        .select
+        .is_some());
+    shutdown_via(addr);
+    handle.join().unwrap();
 }
