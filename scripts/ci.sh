@@ -18,6 +18,13 @@ fi
 echo "==> cargo fmt ${FMT_ARGS[*]:-}"
 cargo fmt --all -- "${FMT_ARGS[@]}"
 
+# What `git status` says now, after formatting: the last step checks that
+# building, testing and the smokes left the work tree as they found it.
+TREE_BEFORE=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    TREE_BEFORE="$(git status --porcelain)"
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -53,7 +60,7 @@ spawn_daemon() {
     ADDR="$(awk '/listening on/ {print $3}' "$out")"
 }
 # table2 is static but must still accept and survive the fault flags.
-./target/release/table2 --faults 0.05 >/dev/null
+./target/release/table2 --faults 0.05 --json "$SMOKE_DIR/table2.json" >/dev/null
 # table3 benchmarks a small corpus under faults: it must exit 0 and its
 # run report must carry an enabled degradation section.
 ./target/release/table3 --quick --no-cache --faults 0.05 \
@@ -522,6 +529,18 @@ grep -q 'corpus growth:' "$SMOKE_DIR/train-grown.txt"
 if grep -q 'artifact-cache hit' "$SMOKE_DIR/train-grown.txt"; then
     echo "grown corpus must not be served from the pre-growth artifact cache" >&2
     exit 1
+fi
+
+echo "==> work tree unchanged (nothing above may write tracked or unignored files)"
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    TREE_AFTER="$(git status --porcelain)"
+    if [[ "$TREE_AFTER" != "$TREE_BEFORE" ]]; then
+        echo "the work tree changed during CI:" >&2
+        diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") >&2 || true
+        exit 1
+    fi
+else
+    echo "(not a git work tree: skipped)"
 fi
 
 echo "CI green."
