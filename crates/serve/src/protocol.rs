@@ -10,7 +10,7 @@
 //! See the README for one worked request/response example per type.
 
 use crate::error::{ErrorEnvelope, ServeError};
-use serde::{Deserialize, Serialize, Slot};
+use serde::{Deserialize, Serialize};
 use spsel_core::telemetry::ServingReport;
 use spsel_gpusim::Gpu;
 use spsel_matrix::{Format, Workload};
@@ -18,81 +18,63 @@ use spsel_matrix::{Format, Workload};
 /// One format-selection query: a matrix by path *or* by inline Table 1
 /// feature vector, on one GPU, for an iteration horizon.
 ///
-/// `Deserialize` is hand-written (the derive requires every key): the
-/// optional fields — `workload` in particular — may be absent on the
-/// wire, and an absent `workload` means SpMV, which keeps every
-/// pre-workload client bit-compatible.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The optional fields may be absent on the wire (`#[serde(default)]`),
+/// and an absent `workload` means SpMV, which keeps every pre-workload
+/// client bit-compatible.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectBody {
     /// Path to a Matrix Market file, readable by the server process.
+    #[serde(default)]
     pub matrix: Option<String>,
     /// Inline Table 1 features (exactly 21 values, table order) —
     /// the zero-I/O path for clients that extract features themselves.
+    #[serde(default)]
     pub features: Option<Vec<f64>>,
     /// GPU to decide for (`Pascal`, `Volta`, `Turing`).
     pub gpu: String,
     /// SpMV iteration horizon for the amortized recommendation
     /// (default 1000).
+    #[serde(default)]
     pub iterations: Option<usize>,
     /// Whether this observation may update the online clustering
     /// (default true; set false for read-only probes).
+    #[serde(default)]
     pub learn: Option<bool>,
     /// Workload to decide for (`spmv`, `spmm`, `spmm32`, ...); absent
     /// means SpMV — full wire compatibility with pre-workload clients.
+    #[serde(default)]
     pub workload: Option<String>,
-}
-
-impl serde::Deserialize for SelectBody {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut matrix = Slot::new();
-        let mut features = Slot::new();
-        let mut gpu = Slot::new();
-        let mut iterations = Slot::new();
-        let mut learn = Slot::new();
-        let mut workload = Slot::new();
-        r.object("object for SelectBody", |r, key| match &*key {
-            "matrix" => matrix.read(r),
-            "features" => features.read(r),
-            "gpu" => gpu.read(r),
-            "iterations" => iterations.read(r),
-            "learn" => learn.read(r),
-            "workload" => workload.read(r),
-            _ => r.skip(),
-        })?;
-        Ok(SelectBody {
-            matrix: matrix.take_or(None)?,
-            features: features.take_or(None)?,
-            gpu: gpu.take("gpu", "SelectBody")?,
-            iterations: iterations.take_or(None)?,
-            learn: learn.take_or(None)?,
-            workload: workload.take_or(None)?,
-        })
-    }
 }
 
 /// One request line.
 ///
-/// `Deserialize` is hand-written so optional `Select` fields (deadline,
-/// learn flag, workload) may be absent on the wire; the derive would
-/// demand every key and break older clients.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Every `Option` field is `#[serde(default)]`, so optional keys
+/// (deadline, learn flag, workload, ...) may be absent on the wire and
+/// older clients keep working.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Select a format for one matrix.
     Select {
         /// Path to a Matrix Market file.
+        #[serde(default)]
         matrix: Option<String>,
         /// Inline Table 1 features (21 values).
+        #[serde(default)]
         features: Option<Vec<f64>>,
         /// GPU to decide for.
         gpu: String,
         /// SpMV iteration horizon (default 1000).
+        #[serde(default)]
         iterations: Option<usize>,
         /// Per-request deadline in milliseconds (overrides the server
         /// default; omit for the default).
+        #[serde(default)]
         deadline_ms: Option<u64>,
         /// Whether the online clustering may learn from this observation.
+        #[serde(default)]
         learn: Option<bool>,
         /// Workload to decide for; absent means SpMV.
+        #[serde(default)]
         workload: Option<String>,
     },
     /// Select for many matrices in one round-trip; the worker fans the
@@ -101,6 +83,7 @@ pub enum Request {
         /// The individual selection queries.
         requests: Vec<SelectBody>,
         /// Deadline for the whole batch, milliseconds.
+        #[serde(default)]
         deadline_ms: Option<u64>,
     },
     /// Report a measured best format for a cluster (the online loop):
@@ -126,6 +109,7 @@ pub enum Request {
         /// Expected training-context digest; the swap is rejected when
         /// the artifact's digest differs. Omit to accept any valid
         /// artifact.
+        #[serde(default)]
         expected_digest: Option<String>,
     },
     /// Replica catch-up: stream the checkpoint (when the caller is
@@ -138,105 +122,6 @@ pub enum Request {
     },
     /// Gracefully stop the daemon after answering this request.
     Shutdown,
-}
-
-impl serde::Deserialize for Request {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        r.variant(
-            "Request",
-            |name| match name {
-                "Stats" => Some(Request::Stats),
-                "Shutdown" => Some(Request::Shutdown),
-                _ => None,
-            },
-            |r, name| match name {
-                "Select" => {
-                    let mut matrix = Slot::new();
-                    let mut features = Slot::new();
-                    let mut gpu = Slot::new();
-                    let mut iterations = Slot::new();
-                    let mut deadline_ms = Slot::new();
-                    let mut learn = Slot::new();
-                    let mut workload = Slot::new();
-                    r.object("object for Request::Select", |r, key| match &*key {
-                        "matrix" => matrix.read(r),
-                        "features" => features.read(r),
-                        "gpu" => gpu.read(r),
-                        "iterations" => iterations.read(r),
-                        "deadline_ms" => deadline_ms.read(r),
-                        "learn" => learn.read(r),
-                        "workload" => workload.read(r),
-                        _ => r.skip(),
-                    })?;
-                    Ok(Request::Select {
-                        matrix: matrix.take_or(None)?,
-                        features: features.take_or(None)?,
-                        gpu: gpu.take("gpu", "Request::Select")?,
-                        iterations: iterations.take_or(None)?,
-                        deadline_ms: deadline_ms.take_or(None)?,
-                        learn: learn.take_or(None)?,
-                        workload: workload.take_or(None)?,
-                    })
-                }
-                "Batch" => {
-                    let mut requests = Slot::new();
-                    let mut deadline_ms = Slot::new();
-                    r.object("object for Request::Batch", |r, key| match &*key {
-                        "requests" => requests.read(r),
-                        "deadline_ms" => deadline_ms.read(r),
-                        _ => r.skip(),
-                    })?;
-                    Ok(Request::Batch {
-                        requests: requests.take("requests", "Request::Batch")?,
-                        deadline_ms: deadline_ms.take_or(None)?,
-                    })
-                }
-                "Feedback" => {
-                    let mut gpu = Slot::new();
-                    let mut cluster = Slot::new();
-                    let mut best = Slot::new();
-                    r.object("object for Request::Feedback", |r, key| match &*key {
-                        "gpu" => gpu.read(r),
-                        "cluster" => cluster.read(r),
-                        "best" => best.read(r),
-                        _ => r.skip(),
-                    })?;
-                    Ok(Request::Feedback {
-                        gpu: gpu.take("gpu", "Request::Feedback")?,
-                        cluster: cluster.take("cluster", "Request::Feedback")?,
-                        best: best.take("best", "Request::Feedback")?,
-                    })
-                }
-                "Swap" => {
-                    let mut path = Slot::new();
-                    let mut expected_digest = Slot::new();
-                    r.object("object for Request::Swap", |r, key| match &*key {
-                        "path" => path.read(r),
-                        "expected_digest" => expected_digest.read(r),
-                        _ => r.skip(),
-                    })?;
-                    Ok(Request::Swap {
-                        path: path.take("path", "Request::Swap")?,
-                        expected_digest: expected_digest.take_or(None)?,
-                    })
-                }
-                "Sync" => {
-                    let mut from_seq = Slot::new();
-                    r.object("object for Request::Sync", |r, key| match &*key {
-                        "from_seq" => from_seq.read(r),
-                        _ => r.skip(),
-                    })?;
-                    Ok(Request::Sync {
-                        from_seq: from_seq.take("from_seq", "Request::Sync")?,
-                    })
-                }
-                other => {
-                    r.skip()?;
-                    Err(serde::Error::unknown_variant(other, "Request"))
-                }
-            },
-        )
-    }
 }
 
 impl Request {

@@ -2,8 +2,10 @@
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline). Supports
 //! the shapes this workspace serializes: non-generic named-field structs and
-//! enums whose variants are unit or struct-like. Tuple structs, tuple
-//! variants, generics and `#[serde(...)]` attributes are rejected loudly.
+//! enums whose variants are unit or struct-like. A field may carry
+//! `#[serde(default)]`: an absent key then reads as the field type's
+//! `Default` (`None` for an `Option`). Tuple structs, tuple variants,
+//! generics and any other `#[serde(...)]` attribute are rejected loudly.
 //!
 //! The generated code writes and reads JSON directly: `Serialize` emits
 //! each key literal and the field's own write, and `Deserialize` emits a
@@ -16,9 +18,16 @@ use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 enum Shape {
     /// Named fields.
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
     /// Variants: name plus `None` (unit) or named fields (struct-like).
-    Enum(Vec<(String, Option<Vec<String>>)>),
+    Enum(Vec<(String, Option<Vec<Field>>)>),
+}
+
+/// One named field.
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: the key may be absent.
+    default: bool,
 }
 
 /// Split a brace group's stream at top-level commas, tracking `<`/`>` depth
@@ -72,11 +81,36 @@ fn skip_attrs_and_vis(toks: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Field name from one comma-separated part of a struct body.
-fn field_name(part: &[TokenTree]) -> String {
+/// Whether an attribute group (the `[...]` after `#`) is
+/// `serde(default)`; any other `serde(...)` is refused.
+fn is_serde_default(attr: &Group) -> bool {
+    let toks: Vec<TokenTree> = attr.stream().into_iter().collect();
+    match toks.first() {
+        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {
+            let args = toks.get(1).map(|t| t.to_string());
+            assert!(
+                toks.len() == 2 && args.as_deref() == Some("(default)"),
+                "serde derive: only #[serde(default)] is supported by the offline shim"
+            );
+            true
+        }
+        _ => false,
+    }
+}
+
+/// One comma-separated part of a struct body: the field's name and
+/// whether it carries `#[serde(default)]`.
+fn field(part: &[TokenTree]) -> Field {
+    let default = part.windows(2).any(|w| match w {
+        [TokenTree::Punct(p), TokenTree::Group(g)] if p.as_char() == '#' => is_serde_default(g),
+        _ => false,
+    });
     let i = skip_attrs_and_vis(part, 0);
     match part.get(i) {
-        Some(TokenTree::Ident(id)) => id.to_string(),
+        Some(TokenTree::Ident(id)) => Field {
+            name: id.to_string(),
+            default,
+        },
         other => panic!("serde derive: expected field name, found {other:?}"),
     }
 }
@@ -115,7 +149,7 @@ fn parse(input: TokenStream) -> (String, Shape) {
         other => panic!("serde derive: expected item body for `{name}`, found {other:?}"),
     };
     let shape = if kind == "struct" {
-        Shape::Struct(split_commas(body).iter().map(|p| field_name(p)).collect())
+        Shape::Struct(split_commas(body).iter().map(|p| field(p)).collect())
     } else {
         let variants = split_commas(body)
             .iter()
@@ -127,7 +161,7 @@ fn parse(input: TokenStream) -> (String, Shape) {
                 };
                 let fields = match part.get(vi + 1) {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                        Some(split_commas(g).iter().map(|p| field_name(p)).collect())
+                        Some(split_commas(g).iter().map(|p| field(p)).collect())
                     }
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                         panic!(
@@ -146,28 +180,37 @@ fn parse(input: TokenStream) -> (String, Shape) {
 
 /// `Serialize` body writing the named fields of `base` (an expression
 /// prefix such as `&self.`, or empty for bindings) as one object.
-fn write_fields(fields: &[String], base: &str) -> String {
+fn write_fields(fields: &[Field], base: &str) -> String {
     let members: String = fields
         .iter()
-        .map(|f| format!("__w.key(\"{f}\"); ::serde::Serialize::serialize({base}{f}, __w);"))
+        .map(|f| {
+            let f = &f.name;
+            format!("__w.key(\"{f}\"); ::serde::Serialize::serialize({base}{f}, __w);")
+        })
         .collect();
     format!("__w.begin_object(); {members} __w.end_object();")
 }
 
 /// `Deserialize` body reading an object of type name `ty` into the named
 /// fields and building `ctor { fields }` from them.
-fn read_fields(fields: &[String], ty: &str, ctor: &str) -> String {
+fn read_fields(fields: &[Field], ty: &str, ctor: &str) -> String {
     let slots: String = fields
         .iter()
-        .map(|f| format!("let mut __f_{f} = ::serde::Slot::new();"))
+        .map(|f| format!("let mut __f_{} = ::serde::Slot::new();", f.name))
         .collect();
     let arms: String = fields
         .iter()
-        .map(|f| format!("\"{f}\" => __f_{f}.read(__r),"))
+        .map(|f| format!("\"{0}\" => __f_{0}.read(__r),", f.name))
         .collect();
     let inits: String = fields
         .iter()
-        .map(|f| format!("{f}: __f_{f}.take(\"{f}\", \"{ty}\")?,"))
+        .map(|Field { name: f, default }| {
+            if *default {
+                format!("{f}: __f_{f}.take_or(::std::default::Default::default())?,")
+            } else {
+                format!("{f}: __f_{f}.take(\"{f}\", \"{ty}\")?,")
+            }
+        })
         .collect();
     format!(
         "{slots}\n\
@@ -180,7 +223,7 @@ fn read_fields(fields: &[String], ty: &str, ctor: &str) -> String {
 }
 
 /// Derive `serde::Serialize`: write the value as JSON.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input);
     let body = match &shape {
@@ -194,7 +237,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         "{name}::{v} {{ {binds} }} => {{\n\
                              __w.begin_object(); __w.key(\"{v}\"); {inner} __w.end_object();\n\
                          }},",
-                        binds = fs.join(", "),
+                        binds = fs
+                            .iter()
+                            .map(|f| f.name.as_str())
+                            .collect::<Vec<_>>()
+                            .join(", "),
                         inner = write_fields(fs, ""),
                     ),
                 })
@@ -212,7 +259,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive `serde::Deserialize`: read the value from JSON.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input);
     let body = match &shape {
