@@ -410,7 +410,7 @@ mod tests {
         let mut json = Vec::new();
         pca.serialize(&mut Writer::compact(&mut json));
         let json = String::from_utf8(json).unwrap();
-        let v = Reader::new(&json).value().unwrap();
+        let v = Value::deserialize(&mut Reader::new(&json)).unwrap();
         let Value::Object(fields) = &v else {
             panic!("expected object")
         };

@@ -24,7 +24,8 @@ pub use serde_derive::{Deserialize, Serialize};
 mod read;
 mod write;
 
-pub use read::{Reader, Scalar, MAX_DEPTH};
+pub use read::Reader;
+use read::Scalar;
 pub use write::Writer;
 
 /// Owned JSON-like value tree.

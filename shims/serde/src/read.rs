@@ -6,11 +6,11 @@ use std::borrow::Cow;
 /// Deepest nesting of arrays and objects the reader accepts. Every level
 /// costs a few stack frames, so without a cap one long line of `[`
 /// would overflow the stack.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A scalar as read, or the kind of a container the reader skipped.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Scalar<'de> {
+pub(crate) enum Scalar<'de> {
     /// `null`.
     Null,
     /// `true` or `false`.
@@ -32,7 +32,7 @@ pub enum Scalar<'de> {
 
 impl Scalar<'_> {
     /// Short human name of the value's kind (for error messages).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Scalar::Null => "null",
             Scalar::Bool(_) => "bool",
@@ -49,7 +49,7 @@ impl Scalar<'_> {
 ///
 /// Whitespace (space, tab, newline, carriage return) may stand between
 /// any two tokens. Syntax errors name the byte offset they were found
-/// at; nesting deeper than [`MAX_DEPTH`] is a syntax error.
+/// at; nesting deeper than 128 arrays or objects is a syntax error.
 #[derive(Debug)]
 pub struct Reader<'de> {
     src: &'de str,
@@ -78,7 +78,7 @@ impl<'de> Reader<'de> {
     }
 
     /// Consume a `null` if one comes next.
-    pub fn null(&mut self) -> bool {
+    pub(crate) fn null(&mut self) -> bool {
         self.skip_ws();
         let null = self.bytes()[self.pos..].starts_with(b"null");
         if null {
@@ -90,7 +90,7 @@ impl<'de> Reader<'de> {
     /// Read the next value as a scalar. An array or object is skipped
     /// whole (checked for syntax) and reported by kind only, which is all
     /// a type expecting a scalar needs for its error.
-    pub fn scalar(&mut self) -> Result<Scalar<'de>, Error> {
+    pub(crate) fn scalar(&mut self) -> Result<Scalar<'de>, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => self.literal(b"null", Scalar::Null),
@@ -114,7 +114,7 @@ impl<'de> Reader<'de> {
     }
 
     /// Read the next value as a [`Value`] tree.
-    pub fn value(&mut self) -> Result<Value, Error> {
+    pub(crate) fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'[') => {
@@ -148,7 +148,7 @@ impl<'de> Reader<'de> {
     /// Read an array, calling `item` once per element; `item` must
     /// consume that element. Anything but an array is skipped and
     /// reported as `expected {expected}, found {kind}`.
-    pub fn array(
+    pub(crate) fn array(
         &mut self,
         expected: &str,
         mut item: impl FnMut(&mut Self) -> Result<(), Error>,
