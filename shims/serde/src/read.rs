@@ -73,7 +73,10 @@ impl<'de> Reader<'de> {
         if self.pos == self.src.len() {
             Ok(())
         } else {
-            Err(self.error(format!("trailing characters at byte {}", self.pos)))
+            Err(Error::syntax(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -100,7 +103,7 @@ impl<'de> Reader<'de> {
             Some(b'[') => self.array("", |r| r.skip()).map(|()| Scalar::Array),
             Some(b'{') => self.object("", |r, _| r.skip()).map(|()| Scalar::Object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(self.error(format!(
+            other => Err(Error::syntax(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
                 self.pos
@@ -167,7 +170,12 @@ impl<'de> Reader<'de> {
                 match self.peek() {
                     Some(b',') => self.pos += 1,
                     Some(b']') => break,
-                    _ => return Err(self.error(format!("expected , or ] at byte {}", self.pos))),
+                    _ => {
+                        return Err(Error::syntax(format!(
+                            "expected , or ] at byte {}",
+                            self.pos
+                        )))
+                    }
                 }
             }
         }
@@ -201,7 +209,12 @@ impl<'de> Reader<'de> {
                 match self.peek() {
                     Some(b',') => self.pos += 1,
                     Some(b'}') => break,
-                    _ => return Err(self.error(format!("expected , or }} at byte {}", self.pos))),
+                    _ => {
+                        return Err(Error::syntax(format!(
+                            "expected , or }} at byte {}",
+                            self.pos
+                        )))
+                    }
                 }
             }
         }
@@ -253,10 +266,6 @@ impl<'de> Reader<'de> {
         self.src.as_bytes()
     }
 
-    fn error(&self, msg: String) -> Error {
-        Error::syntax(msg)
-    }
-
     fn skip_ws(&mut self) {
         let bytes = self.bytes();
         while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -273,14 +282,17 @@ impl<'de> Reader<'de> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.error(format!("expected `{}` at byte {}", b as char, self.pos)))
+            Err(Error::syntax(format!(
+                "expected `{}` at byte {}",
+                b as char, self.pos
+            )))
         }
     }
 
     /// Step into the array or object whose bracket is next.
     fn open(&mut self) -> Result<(), Error> {
         if self.depth == MAX_DEPTH {
-            return Err(self.error(format!(
+            return Err(Error::syntax(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
                 self.pos
             )));
@@ -301,7 +313,10 @@ impl<'de> Reader<'de> {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(self.error(format!("invalid literal at byte {}", self.pos)))
+            Err(Error::syntax(format!(
+                "invalid literal at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -334,7 +349,7 @@ impl<'de> Reader<'de> {
                     self.pos += 1;
                     let esc = self
                         .peek()
-                        .ok_or_else(|| self.error("unterminated escape".to_string()))?;
+                        .ok_or_else(|| Error::syntax("unterminated escape".to_string()))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -348,25 +363,25 @@ impl<'de> Reader<'de> {
                         b'u' => {
                             let hex = bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.error("truncated \\u escape".to_string()))?;
+                                .ok_or_else(|| Error::syntax("truncated \\u escape".to_string()))?;
                             let code = std::str::from_utf8(hex)
                                 .ok()
                                 .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape".to_string()))?;
+                                .ok_or_else(|| Error::syntax("bad \\u escape".to_string()))?;
                             self.pos += 4;
                             // Surrogates have no char of their own: each
                             // half reads as U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => {
-                            return Err(self.error(format!(
+                            return Err(Error::syntax(format!(
                                 "invalid escape \\{} at byte {}",
                                 other as char, self.pos
                             )))
                         }
                     }
                 }
-                _ => return Err(self.error("unterminated string".to_string())),
+                _ => return Err(Error::syntax("unterminated string".to_string())),
             }
         }
     }
@@ -403,6 +418,6 @@ impl<'de> Reader<'de> {
         }
         text.parse::<f64>()
             .map(Scalar::Float)
-            .map_err(|_| self.error(format!("invalid number `{text}` at byte {start}")))
+            .map_err(|_| Error::syntax(format!("invalid number `{text}` at byte {start}")))
     }
 }
