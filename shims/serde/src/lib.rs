@@ -139,19 +139,27 @@ pub trait Deserialize: Sized {
     /// final length.
     fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
         let mut items = Vec::new();
-        let mut failed = None;
-        r.array("array", |r| {
-            if failed.is_some() {
-                return r.skip();
-            }
-            match hold(Self::deserialize(r))? {
-                Ok(item) => items.push(item),
-                Err(e) => failed = Some(e),
-            }
-            Ok(())
-        })?;
-        failed.map_or(Ok(items), Err)
+        each(r, |item| items.push(item))?;
+        Ok(items)
     }
+}
+
+/// Read a JSON array, handing each element to `push`. After the first
+/// element that fails to convert the rest are only checked for syntax,
+/// and that error is returned once the array is read.
+fn each<T: Deserialize>(r: &mut Reader<'_>, mut push: impl FnMut(T)) -> Result<(), Error> {
+    let mut failed = None;
+    r.array("array", |r| {
+        if failed.is_some() {
+            return r.skip();
+        }
+        match hold(T::deserialize(r))? {
+            Ok(item) => push(item),
+            Err(e) => failed = Some(e),
+        }
+        Ok(())
+    })?;
+    failed.map_or(Ok(()), Err)
 }
 
 /// Split a result: a syntax error ends the document (`Err`), anything
@@ -229,31 +237,22 @@ fn number_vec<T: Deserialize + Copy + Default>(r: &mut Reader<'_>) -> Result<Vec
     let mut buf = [T::default(); 32];
     let mut n = 0;
     let mut spilled = Vec::new();
-    let mut failed = None;
-    r.array("array", |r| {
-        if failed.is_some() {
-            return r.skip();
-        }
-        match hold(T::deserialize(r))? {
-            Ok(x) if n < buf.len() => {
-                buf[n] = x;
-                n += 1;
+    each(r, |x| {
+        if n < buf.len() {
+            buf[n] = x;
+            n += 1;
+        } else {
+            if spilled.is_empty() {
+                spilled.extend_from_slice(&buf);
             }
-            Ok(x) => {
-                if spilled.is_empty() {
-                    spilled.extend_from_slice(&buf);
-                }
-                spilled.push(x);
-            }
-            Err(e) => failed = Some(e),
+            spilled.push(x);
         }
-        Ok(())
     })?;
-    match failed {
-        Some(e) => Err(e),
-        None if spilled.is_empty() => Ok(buf[..n].to_vec()),
-        None => Ok(spilled),
-    }
+    Ok(if spilled.is_empty() {
+        buf[..n].to_vec()
+    } else {
+        spilled
+    })
 }
 
 macro_rules! impl_uint {

@@ -9,7 +9,7 @@ use std::borrow::Cow;
 pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A scalar as read, or the kind of a container the reader skipped.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum Scalar<'de> {
     /// `null`.
     Null,

@@ -191,9 +191,10 @@ fn write_fields(fields: &[Field], base: &str) -> String {
     format!("__w.begin_object(); {members} __w.end_object();")
 }
 
-/// `Deserialize` body reading an object of type name `ty` into the named
-/// fields and building `ctor { fields }` from them.
-fn read_fields(fields: &[Field], ty: &str, ctor: &str) -> String {
+/// `Deserialize` body reading an object into the named fields and
+/// building `path { fields }` from them; `path` (a struct or variant)
+/// also names the type in error messages.
+fn read_fields(fields: &[Field], path: &str) -> String {
     let slots: String = fields
         .iter()
         .map(|f| format!("let mut __f_{} = ::serde::Slot::new();", f.name))
@@ -208,17 +209,17 @@ fn read_fields(fields: &[Field], ty: &str, ctor: &str) -> String {
             if *default {
                 format!("{f}: __f_{f}.take_or(::std::default::Default::default())?,")
             } else {
-                format!("{f}: __f_{f}.take(\"{f}\", \"{ty}\")?,")
+                format!("{f}: __f_{f}.take(\"{f}\", \"{path}\")?,")
             }
         })
         .collect();
     format!(
         "{slots}\n\
-         __r.object(\"object for {ty}\", |__r, __k| match &*__k {{\n\
+         __r.object(\"object for {path}\", |__r, __k| match &*__k {{\n\
              {arms}\n\
              _ => __r.skip(),\n\
          }})?;\n\
-         ::std::result::Result::Ok({ctor} {{ {inits} }})"
+         ::std::result::Result::Ok({path} {{ {inits} }})"
     )
 }
 
@@ -263,7 +264,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse(input);
     let body = match &shape {
-        Shape::Struct(fields) => read_fields(fields, &name, &name),
+        Shape::Struct(fields) => read_fields(fields, &name),
         Shape::Enum(variants) => {
             let unit_arms: String = variants
                 .iter()
@@ -276,7 +277,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 .map(|(v, fs)| {
                     format!(
                         "\"{v}\" => {{ {} }},",
-                        read_fields(fs, &format!("{name}::{v}"), &format!("{name}::{v}"))
+                        read_fields(fs, &format!("{name}::{v}"))
                     )
                 })
                 .collect();
