@@ -390,18 +390,65 @@ proptest! {
     }
 }
 
+/// A serving report whose every field holds its own value, set by name
+/// through JSON: the keys are those of the report's own JSON form, in
+/// its order; the `i`-th integer field reads `1_000_000_007 * (i + 1)`
+/// and the `i`-th float field `(i + 1) + 0.25`, so no two fields agree
+/// and no float is whole.
+fn distinct_serving_report() -> ServingReport {
+    use serde_json::Value;
+    let zero = serde_json::to_string(&ServingReport::default()).unwrap();
+    let Value::Object(pairs) = serde_json::from_str(&zero).unwrap() else {
+        panic!("a serving report is a JSON object: {zero}");
+    };
+    let pairs = pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (key, value))| {
+            let value = match value {
+                Value::UInt(_) => Value::UInt(1_000_000_007 * (i as u64 + 1)),
+                Value::Float(_) => Value::Float((i + 1) as f64 + 0.25),
+                other => panic!("{key} is a {}, not a counter", other.kind()),
+            };
+            (key, value)
+        })
+        .collect();
+    serde_json::from_str(&serde_json::to_string(&Value::Object(pairs)).unwrap()).unwrap()
+}
+
+const STATS_WIRE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../baselines/stats-wire.txt"
+);
+
 /// Wire stability alone cannot catch a field the binary codec silently
 /// drops (the re-encode of the lossy decode matches the lossy wire), so
 /// a stats reply with every counter set to a distinct finite value must
-/// also round-trip by equality.
+/// also round-trip by equality. Its three encodings are pinned byte for
+/// byte by `baselines/stats-wire.txt`: line 1 is the binary frame in
+/// hex, line 2 the compact JSON reply, the rest the pretty run report
+/// whose `serving` block holds the reply's counters. On a mismatch the
+/// test names each differing part and writes the actual file next to
+/// the test binaries.
 #[test]
 fn stats_reply_fields_survive_binary_round_trip() {
     let pool: Vec<u64> = (1..=40).collect();
+    let serving = distinct_serving_report();
     let response = Response::of_stats(StatsReply {
         artifact_version: 7,
         feature_digest: "0123456789abcdef".into(),
-        gpus: Vec::new(),
-        serving: report_from(&pool),
+        gpus: vec![GpuStats {
+            gpu: "Volta".into(),
+            clusters: 12,
+            unlabeled_clusters: 3,
+            staleness: 5,
+            training_records: 480,
+            shards: 2,
+            snapshot_version: 17,
+            shard_feedbacks: vec![4, 9],
+            shard_imbalance: 1.3846153846153846,
+        }],
+        serving,
         lifecycle: lifecycle_from(&pool),
     });
     let wire = framing::encode_response(&response);
@@ -410,6 +457,38 @@ fn stats_reply_fields_survive_binary_round_trip() {
     let (kind, body) = buf.next_frame().unwrap().unwrap();
     let decoded = framing::decode_response(kind, &body).unwrap();
     assert_eq!(decoded, response, "binary codec dropped a stats field");
+
+    let mut run = RunReport::new("stats-wire");
+    run.threads = 1;
+    run.serial = false;
+    run.serving = Some(serving);
+    let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+    let parts = [
+        ("binary frame", hex),
+        ("compact JSON", serde_json::to_string(&response).unwrap()),
+        (
+            "pretty run report",
+            serde_json::to_string_pretty(&run).unwrap(),
+        ),
+    ];
+    let actual: String = parts.iter().map(|(_, text)| format!("{text}\n")).collect();
+    let expected = std::fs::read_to_string(STATS_WIRE).unwrap_or_default();
+    let mut want = expected.splitn(3, '\n');
+    let mut differing = Vec::new();
+    for (name, text) in &parts {
+        if want.next().map(|w| w.trim_end_matches('\n')) != Some(text.as_str()) {
+            differing.push(*name);
+        }
+    }
+    if !differing.is_empty() {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("stats-wire.txt");
+        std::fs::write(&out, &actual).expect("write the actual stats encodings");
+        panic!(
+            "stats reply encodings differ from {STATS_WIRE}: {} (the actual file is in {})",
+            differing.join(", "),
+            out.display()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
