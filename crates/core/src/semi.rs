@@ -174,7 +174,7 @@ fn majority(labels: &[Format], fallback: Format) -> Format {
 }
 
 /// Public majority vote over a label set: the format most of `labels`
-/// name, ties broken CSR-first ([`majority`]'s rule), `fallback` when the
+/// name, ties broken CSR-first (the private `majority`'s rule), `fallback` when the
 /// set is empty. Used by artifact training to label clusters under
 /// alternative workloads with the same rule the fit-time labeler uses.
 pub fn majority_label(labels: &[Format], fallback: Format) -> Format {

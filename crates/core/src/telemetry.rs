@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use spsel_gpusim::{FaultCounters, FaultRates};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Wall-clock duration of one pipeline phase.
@@ -59,123 +60,227 @@ pub struct CacheReport {
     pub model_stores: u64,
 }
 
-/// Snapshot of a serving process's counters (the `spsel-serve` daemon or
-/// an in-process engine driven by `loadgen`): request mix, latency
-/// quantiles from a monotonic clock, online-clustering activity, and how
-/// much feedback the online loop absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServingReport {
+/// One field of a [`ServingReport`], by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Counter {
+    /// A count, a sum or a maximum.
+    U64(u64),
+    /// A latency quantile or maximum.
+    F64(f64),
+}
+
+/// One field of a [`ServingReport`], by mutable reference.
+#[derive(Debug)]
+pub enum CounterMut<'a> {
+    /// A count, a sum or a maximum.
+    U64(&'a mut u64),
+    /// A latency quantile or maximum.
+    F64(&'a mut f64),
+}
+
+/// The field types the serving-counter table may declare, and how each
+/// sits in its `AtomicU64` slot: a `u64` as itself, an `f64` as its
+/// [`f64::to_bits`] pattern.
+trait CounterType: Copy {
+    fn from_slot(slot: u64) -> Self;
+    fn view(self) -> Counter;
+    fn view_mut(&mut self) -> CounterMut<'_>;
+}
+
+impl CounterType for u64 {
+    fn from_slot(slot: u64) -> u64 {
+        slot
+    }
+    fn view(self) -> Counter {
+        Counter::U64(self)
+    }
+    fn view_mut(&mut self) -> CounterMut<'_> {
+        CounterMut::U64(self)
+    }
+}
+
+impl CounterType for f64 {
+    fn from_slot(slot: u64) -> f64 {
+        f64::from_bits(slot)
+    }
+    fn view(self) -> Counter {
+        Counter::F64(self)
+    }
+    fn view_mut(&mut self) -> CounterMut<'_> {
+        CounterMut::F64(self)
+    }
+}
+
+/// Generates, from the one table of serving counters below, the
+/// [`ServingReport`] struct, its lock-free mirror [`ServingCounters`]
+/// with [`ServingCounters::load`], and the ordered field walks
+/// [`ServingReport::fields`] and [`ServingReport::fields_mut`]. The
+/// binary wire format and the JSON key order are the table's order.
+macro_rules! serving_counters {
+    ($($(#[$doc:meta])* $name:ident: $ty:ident,)*) => {
+        /// Snapshot of a serving process's counters (the `spsel-serve`
+        /// daemon or an in-process engine driven by `loadgen`): request
+        /// mix, latency quantiles from a monotonic clock,
+        /// online-clustering activity, and how much feedback the online
+        /// loop absorbed.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+        pub struct ServingReport {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        /// Lock-free mirror of [`ServingReport`]: one `AtomicU64` slot
+        /// per field, same names, same order. An `f64` field's slot
+        /// holds its [`f64::to_bits`] pattern; for the non-negative
+        /// values a report carries, bit order is numeric order, so
+        /// `fetch_max` on the bits keeps a maximum.
+        #[derive(Debug, Default)]
+        pub struct ServingCounters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        impl ServingCounters {
+            /// Plain-value snapshot of every slot. The loads are
+            /// `Relaxed`: the slots are statistics and publish no other
+            /// data.
+            pub fn load(&self) -> ServingReport {
+                ServingReport {
+                    $($name: CounterType::from_slot(self.$name.load(Ordering::Relaxed)),)*
+                }
+            }
+        }
+
+        impl ServingReport {
+            /// Number of fields.
+            pub const FIELDS: usize = [$(stringify!($name)),*].len();
+
+            /// Every field with its name, in declaration order.
+            pub fn fields(&self) -> [(&'static str, Counter); Self::FIELDS] {
+                [$((stringify!($name), CounterType::view(self.$name)),)*]
+            }
+
+            /// Every field with its name, in declaration order, for
+            /// writing.
+            pub fn fields_mut(&mut self) -> [(&'static str, CounterMut<'_>); Self::FIELDS] {
+                [$((stringify!($name), CounterType::view_mut(&mut self.$name)),)*]
+            }
+        }
+    };
+}
+
+// The serving counters. Their order is the binary wire order and the
+// JSON key order, so reordering or inserting one changes both formats.
+serving_counters! {
     /// Requests received, all types (each batch counts once).
-    pub requests: u64,
+    requests: u64,
     /// `select` requests answered (batched selects count individually).
-    pub select_requests: u64,
+    select_requests: u64,
     /// `feedback` requests answered.
-    pub feedback_requests: u64,
+    feedback_requests: u64,
     /// `stats` requests answered.
-    pub stats_requests: u64,
+    stats_requests: u64,
     /// `batch` envelopes received.
-    pub batch_requests: u64,
+    batch_requests: u64,
     /// Largest number of selects carried by one batch envelope.
-    pub max_batch_size: u64,
+    max_batch_size: u64,
     /// Requests answered with an error envelope.
-    pub errors: u64,
+    errors: u64,
     /// Requests dropped because they exceeded their deadline.
-    pub deadline_exceeded: u64,
+    deadline_exceeded: u64,
     /// Selects answered from an already-labeled cluster (the serving
     /// analogue of a cache hit: no benchmark needed).
-    pub cluster_hits: u64,
+    cluster_hits: u64,
     /// Selects that opened a brand-new online cluster.
-    pub new_clusters: u64,
+    new_clusters: u64,
     /// Selects that asked the client to benchmark (unlabeled cluster).
-    pub benchmarks_requested: u64,
+    benchmarks_requested: u64,
     /// Feedback labels applied to online clusters.
-    pub feedback_applied: u64,
+    feedback_applied: u64,
     /// Median request latency in microseconds (monotonic clock,
     /// log-bucketed histogram upper bound).
-    pub p50_latency_us: f64,
+    p50_latency_us: f64,
     /// 99th-percentile request latency in microseconds.
-    pub p99_latency_us: f64,
+    p99_latency_us: f64,
     /// Worst observed request latency in microseconds.
-    pub max_latency_us: f64,
+    max_latency_us: f64,
     /// `learn: false` selects with per-phase decision timing recorded
     /// (the denominator for the four `decision_*_ns` sums below).
-    pub timed_decisions: u64,
+    timed_decisions: u64,
     /// Cumulative nanoseconds those decisions spent extracting Table 1
     /// features from the matrix (single-pass extractor; zero for selects
     /// that supplied an inline feature vector).
-    pub decision_extract_ns: u64,
+    decision_extract_ns: u64,
     /// Cumulative nanoseconds spent embedding features (variance
     /// transforms, min-max scaling, PCA projection).
-    pub decision_embed_ns: u64,
+    decision_embed_ns: u64,
     /// Cumulative nanoseconds in the nearest-centroid query over the
     /// flat centroid buffer.
-    pub decision_assign_ns: u64,
+    decision_assign_ns: u64,
     /// Cumulative nanoseconds in cluster label and size lookups.
-    pub decision_label_ns: u64,
+    decision_label_ns: u64,
     /// Median decision-path latency in microseconds (extract + embed +
     /// assign + label for one `learn: false` select, log-bucketed
     /// nanosecond histogram upper bound). Unlike `p50_latency_us` this
     /// excludes protocol parse/serialize and pipeline queue time, so it
     /// is the honest figure for the decision budget on a machine where
     /// clients and server share cores.
-    pub decision_p50_us: f64,
+    decision_p50_us: f64,
     /// 99th-percentile decision-path latency in microseconds.
-    pub decision_p99_us: f64,
+    decision_p99_us: f64,
     /// Decisions answered lock-free from an online snapshot
     /// (`learn: false` selects), summed over GPUs.
-    pub read_decisions: u64,
+    read_decisions: u64,
     /// Decisions that took the online write path (`learn: true`).
-    pub write_decisions: u64,
+    write_decisions: u64,
     /// Online write-side lock acquisitions (centroid + shard locks).
-    pub write_lock_acquisitions: u64,
+    write_lock_acquisitions: u64,
     /// Cumulative microseconds writers waited for online write locks.
-    pub write_lock_wait_us: u64,
+    write_lock_wait_us: u64,
     /// Online snapshots published (one per applied mutation).
-    pub snapshot_swaps: u64,
+    snapshot_swaps: u64,
     /// Batch items skipped mid-compute by the cooperative deadline check.
-    pub deadline_skipped: u64,
+    deadline_skipped: u64,
     /// Feedback records replayed from the journal at startup.
-    pub journal_replayed: u64,
+    journal_replayed: u64,
     /// Feedback records appended to the journal this run.
-    pub journal_appended: u64,
+    journal_appended: u64,
     /// Journal lines skipped at replay (malformed or out-of-range).
-    pub journal_skipped: u64,
+    journal_skipped: u64,
     /// Requests answered with a `shed` envelope by admission control
     /// instead of being computed (slow reader, write buffer over the
     /// shed threshold).
-    pub shed: u64,
+    shed: u64,
     /// Connections accepted since startup.
-    pub connections_accepted: u64,
+    connections_accepted: u64,
     /// Connections refused at accept because the connection cap was
     /// reached.
-    pub connections_rejected: u64,
+    connections_rejected: u64,
     /// Most connections open at once.
-    pub peak_connections: u64,
+    peak_connections: u64,
     /// Requests that arrived on binary-negotiated connections.
-    pub binary_requests: u64,
+    binary_requests: u64,
     /// Cluster-opening observes (`learn: true` selects) appended to the
     /// journal this run.
-    pub observes_journaled: u64,
+    observes_journaled: u64,
     /// Observe records replayed from the journal at startup.
-    pub observes_replayed: u64,
+    observes_replayed: u64,
     /// Torn journal tails sealed (or unreadable checkpoints ignored)
     /// across startups of this process.
-    pub torn_tails: u64,
+    torn_tails: u64,
     /// Journal compactions: online state checkpointed and the journal
     /// rotated down to a tail.
-    pub compactions: u64,
+    compactions: u64,
     /// Model artifacts hot-swapped in without dropping a request.
-    pub swaps: u64,
+    swaps: u64,
     /// `swap` requests received (success or failure).
-    pub swap_requests: u64,
+    swap_requests: u64,
     /// `sync` (replica catch-up) requests received.
-    pub sync_requests: u64,
+    sync_requests: u64,
     /// Journal records streamed to replicas by `sync` replies.
-    pub sync_records_sent: u64,
+    sync_records_sent: u64,
     /// Bytes of checkpoint + journal records streamed to replicas.
-    pub sync_bytes_sent: u64,
+    sync_bytes_sent: u64,
     /// Records this process applied from `sync` replies (follower side).
-    pub sync_records_applied: u64,
+    sync_records_applied: u64,
 }
 
 /// One quarantined record: excluded from a GPU's dataset, with the reason.

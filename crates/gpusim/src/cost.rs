@@ -24,7 +24,7 @@ pub struct ConversionCostModel {
 }
 
 impl Default for ConversionCostModel {
-    /// The paper's Table 8 numbers (adapted from Zhao et al. [39]):
+    /// The paper's Table 8 numbers (adapted from Zhao et al. \[39\]):
     /// COO 9x, ELL 102x, HYB 147x a single CSR SpMV.
     fn default() -> Self {
         ConversionCostModel {

@@ -2,7 +2,7 @@
 //!
 //! The paper's configuration (Section 5.1): 100 estimators, maximum depth 6.
 //!
-//! Every tree grows on the forest's one [`Presort`]: a bootstrap sample is
+//! Every tree grows on the forest's one `Presort`: a bootstrap sample is
 //! the per-sample multiplicity of `n` draws, never a copied dataset, and
 //! the tree counts classes weighted by it (see [`crate::tree`] for why
 //! that grows exactly the tree the expanded sample would).

@@ -3,9 +3,9 @@
 //! [`DecisionTree`], [`RandomForest`](crate::RandomForest) and
 //! [`GradientBoosting`](crate::GradientBoosting) — grows its trees on.
 //!
-//! [`Presort`] copies the features column-major and sorts each feature's
+//! `Presort` copies the features column-major and sorts each feature's
 //! `(value, sample index)` order once per fit (a forest shares one across
-//! all its trees). [`NodeRanges`] lays every feature's order, plus one
+//! all its trees). `NodeRanges` lays every feature's order, plus one
 //! segment in ascending sample order, out in one flat `u32` array; a node
 //! owns the range `lo..hi` of every segment. A split marks its samples
 //! left or right once, then stably partitions each segment in place

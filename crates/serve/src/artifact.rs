@@ -91,7 +91,7 @@ pub struct WorkloadLabels {
 }
 
 /// One GPU's trained selector plus its self-describing label tables.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GpuArtifact {
     /// GPU name (`Pascal`, `Volta`, `Turing`).
     pub gpu: String,
@@ -103,37 +103,11 @@ pub struct GpuArtifact {
     pub cluster_labels: Vec<Format>,
     /// Per-workload cluster label tables for the non-SpMV workloads;
     /// empty in pre-workload artifacts (every workload then falls back
-    /// to the SpMV labels).
+    /// to the SpMV labels), which is why the key may be absent.
+    #[serde(default)]
     pub workload_labels: Vec<WorkloadLabels>,
     /// Matrices the selector was trained on.
     pub training_records: usize,
-}
-
-impl serde::Deserialize for GpuArtifact {
-    // Hand-written so `workload_labels` may be absent: pre-workload
-    // artifacts keep loading (the derive demands every key).
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut gpu = Slot::new();
-        let mut selector = Slot::new();
-        let mut cluster_labels = Slot::new();
-        let mut workload_labels: Slot<Option<Vec<WorkloadLabels>>> = Slot::new();
-        let mut training_records = Slot::new();
-        r.object("object for GpuArtifact", |r, key| match &*key {
-            "gpu" => gpu.read(r),
-            "selector" => selector.read(r),
-            "cluster_labels" => cluster_labels.read(r),
-            "workload_labels" => workload_labels.read(r),
-            "training_records" => training_records.read(r),
-            _ => r.skip(),
-        })?;
-        Ok(GpuArtifact {
-            gpu: gpu.take("gpu", "GpuArtifact")?,
-            selector: selector.take("selector", "GpuArtifact")?,
-            cluster_labels: cluster_labels.take("cluster_labels", "GpuArtifact")?,
-            workload_labels: workload_labels.take_or(None)?.unwrap_or_default(),
-            training_records: training_records.take("training_records", "GpuArtifact")?,
-        })
-    }
 }
 
 /// A complete, versioned serving model.

@@ -29,7 +29,7 @@ use crate::artifact::{
 };
 use crate::error::ServeError;
 use crate::journal::{self, CrashPoint, FeedbackJournal, JournalLine};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{add, bump, ServeMetrics};
 use crate::protocol::{
     parse_format, parse_gpu, parse_workload, FeedbackReply, FormatTime, GpuStats, LifecycleStats,
     SelectBody, SelectReply, StatsReply, SwapReply, SyncReply,
@@ -37,7 +37,7 @@ use crate::protocol::{
 use spsel_core::cache::KeyWriter;
 use spsel_core::overhead::{amortized_best_workload, break_even_iterations_workload};
 use spsel_core::semi::SemiSupervisedSelector;
-use spsel_core::telemetry::ServingReport;
+use spsel_core::telemetry::{ServingCounters, ServingReport};
 use spsel_core::{DecisionPhaseNs, ShardedOnlineSelector};
 use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats, NUM_FEATURES};
 use spsel_gpusim::cost::ConversionCostModel;
@@ -203,6 +203,19 @@ impl ModelState {
         ))
     }
 
+    /// Add every GPU selector's online-contention counters to the five
+    /// matching fields of `report`.
+    fn add_contention(&self, report: &mut ServingReport) {
+        for s in &self.states {
+            let c = s.online.contention().report();
+            report.read_decisions += c.read_decisions;
+            report.write_decisions += c.write_decisions;
+            report.write_lock_acquisitions += c.write_lock_acquisitions;
+            report.write_lock_wait_us += c.write_lock_wait_us;
+            report.snapshot_swaps += c.snapshot_swaps;
+        }
+    }
+
     fn state(&self, gpu: Gpu) -> Result<&GpuState, ServeError> {
         self.states
             .iter()
@@ -237,17 +250,6 @@ pub struct Engine {
     /// Fast-path gate: when no journal is attached, mutations skip the
     /// lifecycle lock entirely and serving behaves exactly as before.
     journal_active: AtomicBool,
-    journal_replayed: AtomicU64,
-    journal_appended: AtomicU64,
-    journal_skipped: AtomicU64,
-    observes_journaled: AtomicU64,
-    observes_replayed: AtomicU64,
-    torn_tails: AtomicU64,
-    compactions: AtomicU64,
-    swaps: AtomicU64,
-    sync_records_sent: AtomicU64,
-    sync_bytes_sent: AtomicU64,
-    sync_records_applied: AtomicU64,
     last_seq: AtomicU64,
     applied_seq: AtomicU64,
 }
@@ -312,17 +314,6 @@ impl Engine {
                 last_swap_digest: None,
             }),
             journal_active: AtomicBool::new(false),
-            journal_replayed: AtomicU64::new(0),
-            journal_appended: AtomicU64::new(0),
-            journal_skipped: AtomicU64::new(0),
-            observes_journaled: AtomicU64::new(0),
-            observes_replayed: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            sync_records_sent: AtomicU64::new(0),
-            sync_bytes_sent: AtomicU64::new(0),
-            sync_records_applied: AtomicU64::new(0),
             last_seq: AtomicU64::new(0),
             applied_seq: AtomicU64::new(0),
         }
@@ -333,6 +324,12 @@ impl Engine {
     /// started with even if a swap publishes a new one mid-flight.
     fn model(&self) -> Arc<ModelState> {
         Arc::clone(&self.model.read().expect("model slot poisoned"))
+    }
+
+    /// The report slots the engine bumps itself: journal, lifecycle and
+    /// sync counters, and the contention totals of retired models.
+    fn counters(&self) -> &ServingCounters {
+        &self.metrics.counters
     }
 
     fn lifecycle_lock(&self) -> Result<std::sync::MutexGuard<'_, Lifecycle>, ServeError> {
@@ -379,20 +376,19 @@ impl Engine {
             // Unreadable checkpoints should be impossible (they are
             // published by atomic rename), but a corrupt disk is not a
             // reason to refuse to serve: fall back to the warm start.
-            Err(_) => {
-                self.torn_tails.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => bump(&self.counters().torn_tails),
         }
 
         // 2. The tail: every record past the checkpoint, in order.
         let scan = journal::read_journal(path)?;
-        self.torn_tails.fetch_add(scan.malformed, Ordering::Relaxed);
+        add(&self.counters().torn_tails, scan.malformed);
         let (observes, replayed, apply_skipped) =
             replay_entries(&model, &scan.entries, checkpoint_seq);
         let skipped = scan.malformed + apply_skipped;
-        self.observes_replayed.store(observes, Ordering::Relaxed);
-        self.journal_replayed.store(replayed, Ordering::Relaxed);
-        self.journal_skipped.store(skipped, Ordering::Relaxed);
+        let c = self.counters();
+        c.observes_replayed.store(observes, Ordering::Relaxed);
+        c.journal_replayed.store(replayed, Ordering::Relaxed);
+        c.journal_skipped.store(skipped, Ordering::Relaxed);
 
         // 3. Reopen for appending; numbering continues above both the
         //    tail and the checkpoint.
@@ -496,7 +492,7 @@ impl Engine {
         let (view, phases) = state.online.decide_phased(fv, true);
         if let Some(journal) = lc.journal.as_ref() {
             let seq = journal.append_observe(gpu.name(), fv.as_slice())?;
-            self.observes_journaled.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters().observes_journaled);
             self.last_seq.store(seq, Ordering::Relaxed);
             self.applied_seq.store(seq, Ordering::Relaxed);
             lc.records_since_checkpoint += 1;
@@ -602,7 +598,7 @@ impl Engine {
         self.metrics.feedback();
         if let Some(journal) = lc.journal.as_ref() {
             let seq = journal.append_feedback(&reply.gpu, reply.cluster, &reply.format)?;
-            self.journal_appended.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters().journal_appended);
             self.last_seq.store(seq, Ordering::Relaxed);
             self.applied_seq.store(seq, Ordering::Relaxed);
             lc.records_since_checkpoint += 1;
@@ -675,7 +671,7 @@ impl Engine {
         }
         lc.checkpoint_seq = last_seq;
         lc.records_since_checkpoint = 0;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters().compactions);
         Ok(true)
     }
 
@@ -710,9 +706,26 @@ impl Engine {
                 replay_entries(&next, &scan.entries, lc.checkpoint_seq);
             rebased = observes + feedback;
         }
-        let previous_digest = self.model().context_digest.clone();
-        *self.model.write().expect("model slot poisoned") = Arc::clone(&next);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
+        // Fold the retiring model's contention totals into the report
+        // slots under the slot's write lock. `serving_report` reads the
+        // slots and the live totals under its read lock, so a report
+        // never counts them twice or misses them. A decision still
+        // running on the retiring model (its `Arc` taken before this
+        // swap) bumps only that model's selectors and goes uncounted.
+        let previous_digest = {
+            let mut slot = self.model.write().expect("model slot poisoned");
+            let mut retired = ServingReport::default();
+            slot.add_contention(&mut retired);
+            let c = self.counters();
+            add(&c.read_decisions, retired.read_decisions);
+            add(&c.write_decisions, retired.write_decisions);
+            add(&c.write_lock_acquisitions, retired.write_lock_acquisitions);
+            add(&c.write_lock_wait_us, retired.write_lock_wait_us);
+            add(&c.snapshot_swaps, retired.snapshot_swaps);
+            let previous = std::mem::replace(&mut *slot, Arc::clone(&next));
+            previous.context_digest.clone()
+        };
+        bump(&self.counters().swaps);
         lc.last_swap_digest = Some(next.context_digest.clone());
         if lc.journal.is_some() {
             self.compact_locked(&mut lc, CrashPoint::None)?;
@@ -763,9 +776,8 @@ impl Engine {
         }
         let bytes = records.iter().map(|r| r.len() as u64).sum::<u64>()
             + checkpoint.as_ref().map_or(0, |c| c.len() as u64);
-        self.sync_records_sent
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        self.sync_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+        add(&self.counters().sync_records_sent, records.len() as u64);
+        add(&self.counters().sync_bytes_sent, bytes);
         Ok(SyncReply {
             last_seq: journal.last_seq(),
             checkpoint_seq: lc.checkpoint_seq,
@@ -805,7 +817,7 @@ impl Engine {
         }
         for line in &reply.records {
             let Some(entry) = journal::parse_line(line, 0) else {
-                self.torn_tails.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters().torn_tails);
                 continue;
             };
             let seq = entry.seq();
@@ -826,8 +838,7 @@ impl Engine {
             }
             self.applied_seq.fetch_max(seq, Ordering::Relaxed);
         }
-        self.sync_records_applied
-            .fetch_add(applied, Ordering::Relaxed);
+        add(&self.counters().sync_records_applied, applied);
         self.last_seq.fetch_max(reply.last_seq, Ordering::Relaxed);
         Ok(applied)
     }
@@ -839,31 +850,13 @@ impl Engine {
         self.applied_seq.load(Ordering::Relaxed)
     }
 
-    /// The full serving report: wire counters from [`ServeMetrics`] plus
-    /// the engine-level online-contention, journal, and lifecycle
-    /// counters.
+    /// The full serving report: every counter in [`ServeMetrics`], with
+    /// the live model's online-contention counters added to the totals
+    /// of the models it replaced.
     pub fn serving_report(&self) -> ServingReport {
+        let model = self.model.read().expect("model slot poisoned");
         let mut report = self.metrics.report();
-        let model = self.model();
-        for s in &model.states {
-            let c = s.online.contention().report();
-            report.read_decisions += c.read_decisions;
-            report.write_decisions += c.write_decisions;
-            report.write_lock_acquisitions += c.write_lock_acquisitions;
-            report.write_lock_wait_us += c.write_lock_wait_us;
-            report.snapshot_swaps += c.snapshot_swaps;
-        }
-        report.journal_replayed = self.journal_replayed.load(Ordering::Relaxed);
-        report.journal_appended = self.journal_appended.load(Ordering::Relaxed);
-        report.journal_skipped = self.journal_skipped.load(Ordering::Relaxed);
-        report.observes_journaled = self.observes_journaled.load(Ordering::Relaxed);
-        report.observes_replayed = self.observes_replayed.load(Ordering::Relaxed);
-        report.torn_tails = self.torn_tails.load(Ordering::Relaxed);
-        report.compactions = self.compactions.load(Ordering::Relaxed);
-        report.swaps = self.swaps.load(Ordering::Relaxed);
-        report.sync_records_sent = self.sync_records_sent.load(Ordering::Relaxed);
-        report.sync_bytes_sent = self.sync_bytes_sent.load(Ordering::Relaxed);
-        report.sync_records_applied = self.sync_records_applied.load(Ordering::Relaxed);
+        model.add_contention(&mut report);
         report
     }
 
@@ -891,36 +884,26 @@ impl Engine {
                 }
             })
             .collect();
-        let lifecycle = match self.lifecycle.lock() {
-            Ok(lc) => LifecycleStats {
-                journal_attached: lc.journal.is_some(),
+        // A poisoned lifecycle must not take stats down with it: its
+        // fields then read as if no journal state were known.
+        let lifecycle = {
+            let guard = self.lifecycle.lock().ok();
+            let lc = guard.as_deref();
+            LifecycleStats {
+                journal_attached: self.journal_active.load(Ordering::Acquire),
                 last_seq: self.last_seq.load(Ordering::Relaxed),
                 applied_seq: self.applied_seq.load(Ordering::Relaxed),
-                checkpoint_seq: lc.checkpoint_seq,
-                records_since_checkpoint: lc.records_since_checkpoint,
+                checkpoint_seq: lc.map_or(0, |lc| lc.checkpoint_seq),
+                records_since_checkpoint: lc.map_or(0, |lc| lc.records_since_checkpoint),
                 journal_bytes: lc
-                    .journal
-                    .as_ref()
+                    .and_then(|lc| lc.journal.as_ref())
                     .and_then(|j| std::fs::metadata(j.path()).ok())
                     .map_or(0, |m| m.len()),
                 context_digest: model.context_digest.clone(),
-                last_swap_digest: lc.last_swap_digest.clone(),
-                swaps: self.swaps.load(Ordering::Relaxed),
-                compactions: self.compactions.load(Ordering::Relaxed),
-            },
-            // A poisoned lifecycle must not take stats down with it.
-            Err(_) => LifecycleStats {
-                journal_attached: self.journal_active.load(Ordering::Relaxed),
-                last_seq: self.last_seq.load(Ordering::Relaxed),
-                applied_seq: self.applied_seq.load(Ordering::Relaxed),
-                checkpoint_seq: 0,
-                records_since_checkpoint: 0,
-                journal_bytes: 0,
-                context_digest: model.context_digest.clone(),
-                last_swap_digest: None,
-                swaps: self.swaps.load(Ordering::Relaxed),
-                compactions: self.compactions.load(Ordering::Relaxed),
-            },
+                last_swap_digest: lc.and_then(|lc| lc.last_swap_digest.clone()),
+                swaps: self.counters().swaps.load(Ordering::Relaxed),
+                compactions: self.counters().compactions.load(Ordering::Relaxed),
+            }
         };
         StatsReply {
             artifact_version: model.artifact_version,

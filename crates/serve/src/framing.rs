@@ -36,7 +36,7 @@ use crate::protocol::{
     SelectReply, ShutdownReply, StatsReply, SwapReply, SyncReply,
 };
 use crate::ErrorEnvelope;
-use spsel_core::telemetry::ServingReport;
+use spsel_core::telemetry::{Counter, CounterMut, ServingReport};
 
 /// Connection-opening magic for the binary protocol ("SPB1": SParse
 /// Binary v1). Chosen so its first byte can never open a JSON request
@@ -527,127 +527,21 @@ fn read_select_reply(r: &mut ByteReader) -> Result<SelectReply, ServeError> {
 }
 
 fn put_serving_report(out: &mut Vec<u8>, s: &ServingReport) {
-    // Declaration order of `ServingReport` — kept in lockstep by the
-    // JSON/binary equivalence tests, which fail on any drift.
-    for v in [
-        s.requests,
-        s.select_requests,
-        s.feedback_requests,
-        s.stats_requests,
-        s.batch_requests,
-        s.max_batch_size,
-        s.errors,
-        s.deadline_exceeded,
-        s.cluster_hits,
-        s.new_clusters,
-        s.benchmarks_requested,
-        s.feedback_applied,
-    ] {
-        put_u64(out, v);
-    }
-    put_f64(out, s.p50_latency_us);
-    put_f64(out, s.p99_latency_us);
-    put_f64(out, s.max_latency_us);
-    for v in [
-        s.timed_decisions,
-        s.decision_extract_ns,
-        s.decision_embed_ns,
-        s.decision_assign_ns,
-        s.decision_label_ns,
-    ] {
-        put_u64(out, v);
-    }
-    put_f64(out, s.decision_p50_us);
-    put_f64(out, s.decision_p99_us);
-    for v in [
-        s.read_decisions,
-        s.write_decisions,
-        s.write_lock_acquisitions,
-        s.write_lock_wait_us,
-        s.snapshot_swaps,
-        s.deadline_skipped,
-        s.journal_replayed,
-        s.journal_appended,
-        s.journal_skipped,
-        s.shed,
-        s.connections_accepted,
-        s.connections_rejected,
-        s.peak_connections,
-        s.binary_requests,
-        s.observes_journaled,
-        s.observes_replayed,
-        s.torn_tails,
-        s.compactions,
-        s.swaps,
-        s.swap_requests,
-        s.sync_requests,
-        s.sync_records_sent,
-        s.sync_bytes_sent,
-        s.sync_records_applied,
-    ] {
-        put_u64(out, v);
+    for (_, counter) in s.fields() {
+        match counter {
+            Counter::U64(v) => put_u64(out, v),
+            Counter::F64(v) => put_f64(out, v),
+        }
     }
 }
 
 fn read_serving_report(r: &mut ByteReader) -> Result<ServingReport, ServeError> {
     let mut s = ServingReport::default();
-    for field in [
-        &mut s.requests,
-        &mut s.select_requests,
-        &mut s.feedback_requests,
-        &mut s.stats_requests,
-        &mut s.batch_requests,
-        &mut s.max_batch_size,
-        &mut s.errors,
-        &mut s.deadline_exceeded,
-        &mut s.cluster_hits,
-        &mut s.new_clusters,
-        &mut s.benchmarks_requested,
-        &mut s.feedback_applied,
-    ] {
-        *field = r.u64("serving counter")?;
-    }
-    s.p50_latency_us = r.f64("p50_latency_us")?;
-    s.p99_latency_us = r.f64("p99_latency_us")?;
-    s.max_latency_us = r.f64("max_latency_us")?;
-    for field in [
-        &mut s.timed_decisions,
-        &mut s.decision_extract_ns,
-        &mut s.decision_embed_ns,
-        &mut s.decision_assign_ns,
-        &mut s.decision_label_ns,
-    ] {
-        *field = r.u64("serving counter")?;
-    }
-    s.decision_p50_us = r.f64("decision_p50_us")?;
-    s.decision_p99_us = r.f64("decision_p99_us")?;
-    for field in [
-        &mut s.read_decisions,
-        &mut s.write_decisions,
-        &mut s.write_lock_acquisitions,
-        &mut s.write_lock_wait_us,
-        &mut s.snapshot_swaps,
-        &mut s.deadline_skipped,
-        &mut s.journal_replayed,
-        &mut s.journal_appended,
-        &mut s.journal_skipped,
-        &mut s.shed,
-        &mut s.connections_accepted,
-        &mut s.connections_rejected,
-        &mut s.peak_connections,
-        &mut s.binary_requests,
-        &mut s.observes_journaled,
-        &mut s.observes_replayed,
-        &mut s.torn_tails,
-        &mut s.compactions,
-        &mut s.swaps,
-        &mut s.swap_requests,
-        &mut s.sync_requests,
-        &mut s.sync_records_sent,
-        &mut s.sync_bytes_sent,
-        &mut s.sync_records_applied,
-    ] {
-        *field = r.u64("serving counter")?;
+    for (name, field) in s.fields_mut() {
+        match field {
+            CounterMut::U64(v) => *v = r.u64(name)?,
+            CounterMut::F64(v) => *v = r.f64(name)?,
+        }
     }
     Ok(s)
 }

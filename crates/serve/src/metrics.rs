@@ -1,118 +1,84 @@
-//! Lock-free serving counters and a log-bucketed latency histogram.
+//! Lock-free serving counters and log-bucketed latency histograms.
 //!
+//! The counters are a [`ServingCounters`] mirror of
+//! [`spsel_core::telemetry::ServingReport`], one atomic slot per report
+//! field; the event methods here decide which slots one event bumps.
 //! Latencies come from a monotonic clock ([`std::time::Instant`]) and land
-//! in power-of-two microsecond buckets, so p50/p99 are exact bucket upper
-//! bounds — cheap enough to record on every request, precise enough for a
-//! throughput report. A snapshot serializes as
-//! [`spsel_core::telemetry::ServingReport`] for the `stats` request and
-//! the run-report JSON.
+//! in power-of-two buckets, so p50/p99 are exact bucket upper bounds —
+//! cheap enough to record on every request, precise enough for a
+//! throughput report. A snapshot serializes as the report for the
+//! `stats` request and the run-report JSON.
 
-use spsel_core::telemetry::ServingReport;
+use spsel_core::telemetry::{ServingCounters, ServingReport};
 use spsel_core::DecisionPhaseNs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of power-of-two latency buckets; bucket `i` holds requests with
-/// `floor(log2(us)) == i`, so the top bucket covers ~584 thousand years.
+/// Number of power-of-two buckets; bucket `i` holds samples with
+/// `floor(log2(v)) == i`, so the top bucket covers ~584 thousand years
+/// of microseconds.
 const BUCKETS: usize = 64;
 
-/// Shared mutable serving counters (all atomics; clones of the owning
-/// engine share them by reference).
-#[derive(Debug)]
-pub struct ServeMetrics {
-    requests: AtomicU64,
-    select_requests: AtomicU64,
-    feedback_requests: AtomicU64,
-    stats_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    max_batch_size: AtomicU64,
-    errors: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    deadline_skipped: AtomicU64,
-    cluster_hits: AtomicU64,
-    new_clusters: AtomicU64,
-    benchmarks_requested: AtomicU64,
-    feedback_applied: AtomicU64,
-    latency_buckets: [AtomicU64; BUCKETS],
-    max_latency_us: AtomicU64,
-    shed: AtomicU64,
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    connections_open: AtomicU64,
-    peak_connections: AtomicU64,
-    binary_requests: AtomicU64,
-    swap_requests: AtomicU64,
-    sync_requests: AtomicU64,
-    timed_decisions: AtomicU64,
-    decision_extract_ns: AtomicU64,
-    decision_embed_ns: AtomicU64,
-    decision_assign_ns: AtomicU64,
-    decision_label_ns: AtomicU64,
-    /// Power-of-two *nanosecond* buckets for the whole decision path of
-    /// one `learn: false` select (extract + embed + assign + label) —
-    /// finer grained than the microsecond request histogram because a
-    /// steady-state decision completes in well under a microsecond.
-    decision_ns_buckets: [AtomicU64; BUCKETS],
-}
-
-fn bump(c: &AtomicU64) {
+pub(crate) fn bump(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Quantile over a power-of-two bucket histogram: the upper bound
-/// (`2^(i+1) - 1` base units) of the bucket holding the `ceil(q * n)`-th
-/// fastest sample, 0 when empty.
-fn bucket_quantile(buckets: &[AtomicU64; BUCKETS], q: f64) -> f64 {
-    let counts: Vec<u64> = buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return ((1u128 << (i + 1)) - 1) as f64;
-        }
-    }
-    ((1u128 << BUCKETS) - 1) as f64
+pub(crate) fn add(c: &AtomicU64, n: u64) {
+    c.fetch_add(n, Ordering::Relaxed);
 }
 
-impl Default for ServeMetrics {
+/// Lock-free power-of-two histogram (a zero sample lands in bucket 0).
+#[derive(Debug)]
+struct Histogram([AtomicU64; BUCKETS]);
+
+impl Default for Histogram {
     fn default() -> Self {
-        ServeMetrics {
-            requests: AtomicU64::new(0),
-            select_requests: AtomicU64::new(0),
-            feedback_requests: AtomicU64::new(0),
-            stats_requests: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            max_batch_size: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            deadline_skipped: AtomicU64::new(0),
-            cluster_hits: AtomicU64::new(0),
-            new_clusters: AtomicU64::new(0),
-            benchmarks_requested: AtomicU64::new(0),
-            feedback_applied: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_latency_us: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            peak_connections: AtomicU64::new(0),
-            binary_requests: AtomicU64::new(0),
-            swap_requests: AtomicU64::new(0),
-            sync_requests: AtomicU64::new(0),
-            timed_decisions: AtomicU64::new(0),
-            decision_extract_ns: AtomicU64::new(0),
-            decision_embed_ns: AtomicU64::new(0),
-            decision_assign_ns: AtomicU64::new(0),
-            decision_label_ns: AtomicU64::new(0),
-            decision_ns_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Histogram(std::array::from_fn(|_| AtomicU64::new(0)))
     }
+}
+
+impl Histogram {
+    fn record(&self, v: u64) {
+        bump(&self.0[(v | 1).ilog2() as usize]);
+    }
+
+    /// Quantile `q` in [0, 1]: the upper bound (`2^(i+1) - 1` base
+    /// units) of the bucket holding the `ceil(q * n)`-th smallest
+    /// sample, 0 when empty.
+    fn quantile(&self, q: f64) -> f64 {
+        let counts: [u64; BUCKETS] = std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed));
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return ((1u128 << (i + 1)) - 1) as f64;
+            }
+        }
+        ((1u128 << BUCKETS) - 1) as f64
+    }
+}
+
+/// Shared mutable serving counters (all atomics; clones of the owning
+/// engine share them by reference).
+#[derive(Debug, Default)]
+pub struct ServeMetrics {
+    /// One slot per report field. The engine bumps its journal,
+    /// lifecycle and sync slots directly.
+    pub(crate) counters: ServingCounters,
+    /// Request latency, microsecond buckets.
+    latency_us: Histogram,
+    /// The whole decision path of one `learn: false` select (extract +
+    /// embed + assign + label), *nanosecond* buckets — finer grained
+    /// than the request histogram because a steady-state decision
+    /// completes in well under a microsecond.
+    decision_ns: Histogram,
+    /// Connections open right now (a gauge, not a report field).
+    connections_open: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -123,73 +89,76 @@ impl ServeMetrics {
 
     /// Count one incoming request line (any type, before parsing).
     pub fn request(&self) {
-        bump(&self.requests);
+        bump(&self.counters.requests);
     }
 
     /// Count one answered select (batched bodies count individually).
     /// `new_cluster` / `benchmark_requested` mirror the decision flags; a
     /// select answered from an already-labeled cluster is a cluster hit.
     pub fn select(&self, new_cluster: bool, benchmark_requested: bool) {
-        bump(&self.select_requests);
+        bump(&self.counters.select_requests);
         if new_cluster {
-            bump(&self.new_clusters);
+            bump(&self.counters.new_clusters);
         }
         if benchmark_requested {
-            bump(&self.benchmarks_requested);
+            bump(&self.counters.benchmarks_requested);
         } else {
-            bump(&self.cluster_hits);
+            bump(&self.counters.cluster_hits);
         }
     }
 
     /// Count one applied feedback label.
     pub fn feedback(&self) {
-        bump(&self.feedback_requests);
-        bump(&self.feedback_applied);
+        bump(&self.counters.feedback_requests);
+        bump(&self.counters.feedback_applied);
     }
 
     /// Count one stats request.
     pub fn stats(&self) {
-        bump(&self.stats_requests);
+        bump(&self.counters.stats_requests);
     }
 
     /// Count one batch envelope of `size` bodies.
     pub fn batch(&self, size: usize) {
-        bump(&self.batch_requests);
-        self.max_batch_size
+        bump(&self.counters.batch_requests);
+        self.counters
+            .max_batch_size
             .fetch_max(size as u64, Ordering::Relaxed);
     }
 
     /// Count one error response.
     pub fn error(&self) {
-        bump(&self.errors);
+        bump(&self.counters.errors);
     }
 
     /// Count one deadline miss (also an error response).
     pub fn deadline_exceeded(&self) {
-        bump(&self.deadline_exceeded);
-        bump(&self.errors);
+        bump(&self.counters.deadline_exceeded);
+        bump(&self.counters.errors);
     }
 
     /// Count one batch item skipped by the cooperative mid-compute
     /// deadline check (the batch envelope itself still succeeds, so this
     /// is not an error response).
     pub fn deadline_skipped(&self) {
-        bump(&self.deadline_skipped);
+        bump(&self.counters.deadline_skipped);
     }
 
     /// Count one request answered with a `shed` envelope by admission
     /// control (also an error response, like a deadline miss).
     pub fn shed(&self) {
-        bump(&self.shed);
-        bump(&self.errors);
+        bump(&self.counters.shed);
+        bump(&self.counters.errors);
     }
 
     /// Count one accepted connection; returns nothing but tracks the
     /// open-connection gauge and its peak.
     pub fn connection_opened(&self) {
-        bump(&self.connections_accepted);
+        bump(&self.counters.connections_accepted);
         let open = self.connections_open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_connections.fetch_max(open, Ordering::Relaxed);
+        self.counters
+            .peak_connections
+            .fetch_max(open, Ordering::Relaxed);
     }
 
     /// Count one closed connection (the gauge counterpart of
@@ -200,7 +169,7 @@ impl ServeMetrics {
 
     /// Count one connection refused at accept (connection cap reached).
     pub fn connection_rejected(&self) {
-        bump(&self.connections_rejected);
+        bump(&self.counters.connections_rejected);
     }
 
     /// Connections open right now.
@@ -210,94 +179,53 @@ impl ServeMetrics {
 
     /// Count one request that arrived on a binary-negotiated connection.
     pub fn binary_request(&self) {
-        bump(&self.binary_requests);
+        bump(&self.counters.binary_requests);
     }
 
     /// Count one artifact hot-swap request (success or failure).
     pub fn swap_request(&self) {
-        bump(&self.swap_requests);
+        bump(&self.counters.swap_requests);
     }
 
     /// Count one replica catch-up (`sync`) request.
     pub fn sync_request(&self) {
-        bump(&self.sync_requests);
+        bump(&self.counters.sync_requests);
     }
 
     /// Account one `learn: false` decision's per-phase nanoseconds
     /// (`extract_ns` measured by the caller around featurization, the
     /// rest from [`DecisionPhaseNs`]).
     pub fn decision_phases(&self, extract_ns: u64, phases: DecisionPhaseNs) {
-        bump(&self.timed_decisions);
-        self.decision_extract_ns
-            .fetch_add(extract_ns, Ordering::Relaxed);
-        self.decision_embed_ns
-            .fetch_add(phases.embed_ns, Ordering::Relaxed);
-        self.decision_assign_ns
-            .fetch_add(phases.assign_ns, Ordering::Relaxed);
-        self.decision_label_ns
-            .fetch_add(phases.label_ns, Ordering::Relaxed);
-        let total_ns = extract_ns + phases.embed_ns + phases.assign_ns + phases.label_ns;
-        let bucket = (63 - (total_ns | 1).leading_zeros() as usize).min(BUCKETS - 1);
-        bump(&self.decision_ns_buckets[bucket]);
+        let c = &self.counters;
+        bump(&c.timed_decisions);
+        add(&c.decision_extract_ns, extract_ns);
+        add(&c.decision_embed_ns, phases.embed_ns);
+        add(&c.decision_assign_ns, phases.assign_ns);
+        add(&c.decision_label_ns, phases.label_ns);
+        self.decision_ns
+            .record(extract_ns + phases.embed_ns + phases.assign_ns + phases.label_ns);
     }
 
     /// Record one request's wall-clock latency.
     pub fn record_latency(&self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let bucket = (63 - (us | 1).leading_zeros() as usize).min(BUCKETS - 1);
-        bump(&self.latency_buckets[bucket]);
-        self.max_latency_us.fetch_max(us, Ordering::Relaxed);
+        self.latency_us.record(us);
+        self.counters
+            .max_latency_us
+            .fetch_max((us as f64).to_bits(), Ordering::Relaxed);
     }
 
-    /// Latency at quantile `q` in [0, 1]: the upper bound of the bucket
-    /// holding the `ceil(q * n)`-th fastest request, 0 when empty.
-    fn latency_quantile(&self, q: f64) -> f64 {
-        bucket_quantile(&self.latency_buckets, q)
-    }
-
-    /// Decision-path latency quantile in microseconds (the histogram is
-    /// nanosecond-bucketed, hence the division).
-    fn decision_quantile_us(&self, q: f64) -> f64 {
-        bucket_quantile(&self.decision_ns_buckets, q) / 1e3
-    }
-
-    /// Serializable snapshot of every counter.
+    /// Serializable snapshot of every counter, with the latency
+    /// quantiles read from the histograms. The online-contention slots
+    /// hold only what retired models counted; `Engine::serving_report`
+    /// adds the live model's selectors.
     pub fn report(&self) -> ServingReport {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServingReport {
-            requests: load(&self.requests),
-            select_requests: load(&self.select_requests),
-            feedback_requests: load(&self.feedback_requests),
-            stats_requests: load(&self.stats_requests),
-            batch_requests: load(&self.batch_requests),
-            max_batch_size: load(&self.max_batch_size),
-            errors: load(&self.errors),
-            deadline_exceeded: load(&self.deadline_exceeded),
-            cluster_hits: load(&self.cluster_hits),
-            new_clusters: load(&self.new_clusters),
-            benchmarks_requested: load(&self.benchmarks_requested),
-            feedback_applied: load(&self.feedback_applied),
-            p50_latency_us: self.latency_quantile(0.50),
-            p99_latency_us: self.latency_quantile(0.99),
-            max_latency_us: load(&self.max_latency_us) as f64,
-            deadline_skipped: load(&self.deadline_skipped),
-            shed: load(&self.shed),
-            connections_accepted: load(&self.connections_accepted),
-            connections_rejected: load(&self.connections_rejected),
-            peak_connections: load(&self.peak_connections),
-            binary_requests: load(&self.binary_requests),
-            swap_requests: load(&self.swap_requests),
-            sync_requests: load(&self.sync_requests),
-            timed_decisions: load(&self.timed_decisions),
-            decision_extract_ns: load(&self.decision_extract_ns),
-            decision_embed_ns: load(&self.decision_embed_ns),
-            decision_assign_ns: load(&self.decision_assign_ns),
-            decision_label_ns: load(&self.decision_label_ns),
-            decision_p50_us: self.decision_quantile_us(0.50),
-            decision_p99_us: self.decision_quantile_us(0.99),
-            // Contention, journal, and lifecycle counters live with the
-            // engine; it merges them in `Engine::serving_report`.
-            ..ServingReport::default()
+            p50_latency_us: self.latency_us.quantile(0.50),
+            p99_latency_us: self.latency_us.quantile(0.99),
+            decision_p50_us: self.decision_ns.quantile(0.50) / 1e3,
+            decision_p99_us: self.decision_ns.quantile(0.99) / 1e3,
+            ..self.counters.load()
         }
     }
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use spsel_core::cache::Cache;
 use spsel_core::corpus::CorpusConfig;
 use spsel_core::experiments::ExperimentContext;
-use spsel_core::telemetry::{RunReport, ServingReport};
+use spsel_core::telemetry::{CounterMut, RunReport, ServingReport};
 use spsel_features::{FeatureVector, MatrixStats};
 use spsel_matrix::{gen, CsrMatrix};
 use spsel_serve::artifact::{self, TrainConfig};
@@ -136,57 +136,19 @@ fn arb_request() -> impl Strategy<Value = Request> {
         })
 }
 
-/// A serving report filled from a word pool: every u64 field a raw
-/// counter, every f64 field a raw bit pattern.
+/// A serving report filled from a word pool through the report's own
+/// field walk: every u64 field a raw counter, every f64 field a raw bit
+/// pattern (fields past the pool reuse its words, rotated).
 fn report_from(pool: &[u64]) -> ServingReport {
-    ServingReport {
-        requests: pool[0],
-        select_requests: pool[1],
-        feedback_requests: pool[2],
-        stats_requests: pool[3],
-        batch_requests: pool[4],
-        max_batch_size: pool[5],
-        errors: pool[6],
-        deadline_exceeded: pool[7],
-        cluster_hits: pool[8],
-        new_clusters: pool[9],
-        benchmarks_requested: pool[10],
-        feedback_applied: pool[11],
-        p50_latency_us: f(pool[12]),
-        p99_latency_us: f(pool[13]),
-        max_latency_us: f(pool[14]),
-        read_decisions: pool[15],
-        write_decisions: pool[16],
-        write_lock_acquisitions: pool[17],
-        write_lock_wait_us: pool[18],
-        snapshot_swaps: pool[19],
-        journal_replayed: pool[20],
-        journal_appended: pool[21],
-        journal_skipped: pool[22],
-        deadline_skipped: pool[23],
-        shed: pool[24],
-        connections_accepted: pool[25],
-        connections_rejected: pool[26],
-        peak_connections: pool[27],
-        binary_requests: pool[28],
-        observes_journaled: pool[29],
-        observes_replayed: pool[30],
-        torn_tails: pool[31],
-        compactions: pool[32],
-        swaps: pool[33],
-        swap_requests: pool[34],
-        sync_requests: pool[35],
-        sync_records_sent: pool[36],
-        sync_bytes_sent: pool[37],
-        sync_records_applied: pool[38],
-        timed_decisions: pool[39],
-        decision_extract_ns: pool[38].rotate_left(7),
-        decision_embed_ns: pool[37].rotate_left(13),
-        decision_assign_ns: pool[36].rotate_left(21),
-        decision_label_ns: pool[35].rotate_left(31),
-        decision_p50_us: f(pool[34].rotate_left(3)),
-        decision_p99_us: f(pool[33].rotate_left(5)),
+    let mut report = ServingReport::default();
+    for (i, (_, field)) in report.fields_mut().into_iter().enumerate() {
+        let word = pool[i % pool.len()].rotate_left(i as u32);
+        match field {
+            CounterMut::U64(v) => *v = word,
+            CounterMut::F64(v) => *v = f(word),
+        }
     }
+    report
 }
 
 fn lifecycle_from(pool: &[u64]) -> LifecycleStats {

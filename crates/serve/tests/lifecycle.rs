@@ -343,6 +343,73 @@ fn swap_rebases_the_journal_tail_and_validates_digests() {
     std::fs::remove_file(&artifact_path).ok();
 }
 
+/// A hot swap keeps the online-contention counters counting. They are
+/// summed from the model's selectors, and the swap publishes fresh ones,
+/// so the retired model's totals must carry over: after selects, a swap
+/// and more selects (no journal, so nothing is rebased), each counter
+/// equals its value before the swap plus what the same later selects
+/// count on a fresh engine. The lock wait is a timing, so it must only
+/// not drop.
+#[test]
+fn a_swap_keeps_the_contention_counters_counting() {
+    let model = train_model(5);
+    let artifact_path = tmp("swap-counters-artifact");
+    artifact::save(&model, &artifact_path).unwrap();
+    let selects = |engine: &Engine, seeds: std::ops::Range<u64>| {
+        for seed in seeds {
+            for learn in [false, true] {
+                engine
+                    .select(&body(novel(seed), "pascal", learn))
+                    .expect("select succeeds");
+            }
+        }
+    };
+    let engine = Engine::from_artifact(&model, &EngineOptions::default()).unwrap();
+    selects(&engine, 0..5);
+    let before = engine.serving_report();
+    engine
+        .swap(artifact_path.to_str().unwrap(), None)
+        .expect("swap succeeds");
+    selects(&engine, 5..8);
+    let after = engine.serving_report();
+    let control = Engine::from_artifact(&model, &EngineOptions::default()).unwrap();
+    selects(&control, 5..8);
+    let since = control.serving_report();
+    std::fs::remove_file(&artifact_path).ok();
+
+    assert_eq!((before.read_decisions, before.write_decisions), (5, 5));
+    assert_eq!(after.select_requests, 16);
+    for (name, before, after, since) in [
+        (
+            "read_decisions",
+            before.read_decisions,
+            after.read_decisions,
+            since.read_decisions,
+        ),
+        (
+            "write_decisions",
+            before.write_decisions,
+            after.write_decisions,
+            since.write_decisions,
+        ),
+        (
+            "write_lock_acquisitions",
+            before.write_lock_acquisitions,
+            after.write_lock_acquisitions,
+            since.write_lock_acquisitions,
+        ),
+        (
+            "snapshot_swaps",
+            before.snapshot_swaps,
+            after.snapshot_swaps,
+            since.snapshot_swaps,
+        ),
+    ] {
+        assert_eq!(after, before + since, "{name} restarted at the swap");
+    }
+    assert!(after.write_lock_wait_us >= before.write_lock_wait_us);
+}
+
 /// Tentpole part 3, wire edition: a hot-swap lands under a live flood of
 /// requests with zero failures, zero sheds, and zero dropped
 /// connections, and post-swap decisions come from the new model.

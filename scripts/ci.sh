@@ -28,6 +28,11 @@ fi
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: broken, private or ambiguous doc links)"
+# Also checks the docs that macros generate, such as the serving-counter
+# table's in spsel-core's telemetry module.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> cargo test (tier-1: root package)"
 cargo test -q --offline
 
