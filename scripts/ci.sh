@@ -461,13 +461,14 @@ wait "$LEADER_PID"
 
 echo "==> table byte-identity gate (quick tables vs committed baselines)"
 # The default 4-format registry must keep reproducing the paper tables
-# bit-for-bit: regenerate table 4/6/7 with --quick --no-cache and compare
-# text and JSON against the committed baselines. Any drift — a registry
-# change leaking into the default label pipeline, a reordered format, a
-# float formatting change — fails the build here.
+# bit-for-bit: regenerate tables 4-7 and the ablation with --quick
+# --no-cache and compare text and JSON against the committed baselines.
+# Any drift — a registry change leaking into the default label pipeline,
+# a reordered format, a float formatting change, a rewritten evaluation
+# protocol — fails the build here.
 cargo build -q --release --offline -p spsel-bench \
-    --bin table6 --bin table7 --bin formatzoo
-for t in table4 table6 table7; do
+    --bin table5 --bin table6 --bin table7 --bin ablation --bin formatzoo
+for t in table4 table5 table6 table7 ablation; do
     ./target/release/"$t" --quick --no-cache --json "$SMOKE_DIR/$t.json" \
         > "$SMOKE_DIR/$t.txt" 2>/dev/null
     cmp "baselines/$t.txt" "$SMOKE_DIR/$t.txt"
@@ -476,7 +477,7 @@ done
 # ...and again with one worker thread, the way the benchmark runs them:
 # the parallel fits (forest trees, booster class trees, CV folds) must
 # not depend on the worker count.
-for t in table4 table6 table7; do
+for t in table4 table5 table6 table7 ablation; do
     SPSEL_THREADS=1 ./target/release/"$t" --quick --no-cache \
         --json "$SMOKE_DIR/$t-1t.json" > "$SMOKE_DIR/$t-1t.txt" 2>/dev/null
     cmp "baselines/$t.txt" "$SMOKE_DIR/$t-1t.txt"
