@@ -11,6 +11,7 @@
 
 use super::ExperimentContext;
 use crate::semi::{ClusterMethod, Labeler, SemiConfig, SemiSupervisedSelector};
+use crate::share::FitPool;
 use crate::speedup::selection_quality;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -104,12 +105,14 @@ pub fn pca_sweep(
     };
     // Grid points run through the parallel runtime; each derives its work
     // from (dim, seed) alone and fills its own slot, so worker count does
-    // not change the sweep.
+    // not change the sweep. No two points share a fit (each has its own
+    // PCA dimension); the pool is only the protocol's way to fit.
+    let pool = FitPool::new();
     dims.par_iter()
         .map(|&dim| {
             let mut cfg = SemiConfig::new(ClusterMethod::KMeans { nc }, Labeler::Vote, seed);
             cfg.pca_dim = dim;
-            let q = crate::transfer::local_semi(&features, &results, cfg, folds, seed);
+            let q = crate::transfer::local_semi(&features, &results, cfg, folds, seed, &pool);
             // Explained variance measured on the full dataset.
             let rows: Vec<Vec<f64>> = features.iter().map(|f| f.as_slice().to_vec()).collect();
             let pre = Preprocessor::fit_rows(&rows, Some(dim));
@@ -156,10 +159,11 @@ pub fn nc_sweep(
     let pre = Preprocessor::fit_rows(&rows, Some(8));
     let embedded: Vec<Vec<f64>> = rows.iter().map(|r| pre.embed_row(r)).collect();
 
+    let pool = FitPool::new();
     ncs.par_iter()
         .map(|&nc| {
             let cfg = SemiConfig::new(ClusterMethod::KMeans { nc }, Labeler::Vote, seed);
-            let q = crate::transfer::local_semi(&features, &results, cfg, folds, seed);
+            let q = crate::transfer::local_semi(&features, &results, cfg, folds, seed, &pool);
             let clustering = KMeans::new(nc, seed).fit(&embedded);
             let (_, purity) = cluster_purity(&clustering, &labels, Format::COUNT);
             NcPoint {

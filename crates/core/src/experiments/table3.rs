@@ -3,7 +3,7 @@
 
 use super::ExperimentContext;
 use serde::{Deserialize, Serialize};
-use spsel_gpusim::Gpu;
+use spsel_gpusim::label_distribution;
 use spsel_matrix::Format;
 
 /// Table 3 contents.
@@ -22,28 +22,17 @@ pub struct Table3 {
 
 /// Count label distributions per GPU and over the common subset.
 pub fn run(ctx: &ExperimentContext) -> Table3 {
-    let mut per_gpu = [[0usize; 4]; 3];
-    let mut totals = [0usize; 3];
-    for (g, _) in Gpu::ALL.iter().enumerate() {
-        for r in ctx.benches[g].iter().flatten() {
-            per_gpu[g][r.best.index()] += 1;
-            totals[g] += 1;
-        }
-    }
+    let per_gpu: [[usize; 4]; 3] = std::array::from_fn(|g| label_distribution(&ctx.benches[g]));
     let common_idx = ctx.common_subset();
-    let mut common = [[0usize; 4]; 3];
-    for (g, _) in Gpu::ALL.iter().enumerate() {
-        for &i in &common_idx {
-            // The common subset is feasible on every *active* GPU; a GPU
-            // lost to an outage stays all-zero here.
-            if let Some(r) = ctx.benches[g][i] {
-                common[g][r.best.index()] += 1;
-            }
-        }
-    }
+    // The common subset is feasible on every *active* GPU; a GPU lost to
+    // an outage stays all-zero here.
+    let common = std::array::from_fn(|g| {
+        let results: Vec<_> = common_idx.iter().map(|&i| ctx.benches[g][i]).collect();
+        label_distribution(&results)
+    });
     Table3 {
         per_gpu,
-        totals,
+        totals: per_gpu.map(|counts| counts.iter().sum()),
         common,
         common_total: common_idx.len(),
     }

@@ -4,7 +4,7 @@
 use super::{ExperimentContext, SemiRow};
 use crate::semi::{ClusterMethod, Labeler, SemiConfig};
 use crate::share::FitPool;
-use crate::transfer::local_semi_pooled;
+use crate::transfer::local_semi;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -106,7 +106,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table4Config) -> Table4 {
                     ClusterMethod::MeanShift => ClusterMethod::MeanShift,
                 };
                 let semi_cfg = SemiConfig::new(m, labeler, cfg.seed);
-                let q = local_semi_pooled(features, results, semi_cfg, cfg.folds, cfg.seed, &pool);
+                let q = local_semi(features, results, semi_cfg, cfg.folds, cfg.seed, &pool);
                 // Report the NC actually used: for Mean-Shift, measure
                 // the discovered cluster count on the full dataset.
                 let nc_used = match m {

@@ -1,9 +1,9 @@
 //! Table 5: the semi-supervised approach under transfer, six GPU pairs x
 //! nine algorithms x three retraining budgets.
 
-use super::{ExperimentContext, SemiRow, TRANSFER_PAIRS};
+use super::{ExperimentContext, TRANSFER_PAIRS};
 use crate::semi::{ClusterMethod, Labeler, SemiConfig};
-use crate::transfer::{transfer_semi_budgets, TransferInput};
+use crate::transfer::{transfer_semi, TransferInput};
 use serde::{Deserialize, Serialize};
 use spsel_gpusim::Gpu;
 
@@ -106,7 +106,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table5Config) -> Table5 {
                         ClusterMethod::MeanShift => ClusterMethod::MeanShift,
                     };
                     let semi_cfg = SemiConfig::new(method, labeler, cfg.seed);
-                    let qs = transfer_semi_budgets(input, semi_cfg, cfg.folds, cfg.seed);
+                    let qs = transfer_semi(input, semi_cfg, cfg.folds, cfg.seed);
                     let mut budgets = [[0.0; 3]; 3];
                     for (bi, q) in qs.iter().enumerate() {
                         budgets[bi] = [q.mcc, q.acc, q.f1];
@@ -171,18 +171,6 @@ impl Table5 {
             }
         }
         out
-    }
-}
-
-/// Convert a Table 5 row at one budget into a [`SemiRow`] (used by
-/// summaries and tests).
-pub fn as_semi_row(row: &Table5Row, budget_index: usize) -> SemiRow {
-    SemiRow {
-        algorithm: row.algorithm.clone(),
-        nc: row.nc,
-        mcc: row.budgets[budget_index][0],
-        acc: row.budgets[budget_index][1],
-        f1: row.budgets[budget_index][2],
     }
 }
 

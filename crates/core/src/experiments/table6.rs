@@ -5,7 +5,7 @@ use super::ExperimentContext;
 use crate::share::FitPool;
 use crate::speedup::SelectionQuality;
 use crate::supervised::{SupervisedConfig, SupervisedModel};
-use crate::transfer::local_supervised_pooled;
+use crate::transfer::local_supervised;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +96,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table6Config) -> Table6 {
                 SupervisedConfig::new(model, cfg.seed)
             };
             let images_arg = model.needs_images().then_some(images.as_slice());
-            match local_supervised_pooled(
+            match local_supervised(
                 features, images_arg, results, sup_cfg, cfg.folds, cfg.seed, &pool,
             ) {
                 Ok(quality) => (

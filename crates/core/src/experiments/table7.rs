@@ -6,7 +6,7 @@ use super::ExperimentContext;
 use crate::share::FitPool;
 use crate::speedup::SelectionQuality;
 use crate::supervised::{SupervisedConfig, SupervisedModel};
-use crate::transfer::{transfer_supervised_budgets, RetrainBudget, TransferInput};
+use crate::transfer::{transfer_supervised, RetrainBudget, TransferInput};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use spsel_gpusim::Gpu;
@@ -64,11 +64,11 @@ pub struct Table7 {
 /// All (model, pair) cells run through the parallel runtime: each cell
 /// derives its work from `cfg.seed` alone and fills only its own output
 /// slot, so any worker count produces the same table as a serial run.
-/// Each cell evaluates its three budgets through
-/// [`transfer_supervised_budgets`] — one k-fold split computation per
-/// cell, with fits drawn from a shared [`FitPool`] so budgets (or
-/// cells) whose training inputs coincide fit once; per-budget outputs
-/// are bit-identical to the single-budget protocol.
+/// Each cell evaluates its three budgets through [`transfer_supervised`]
+/// — one k-fold split computation per cell, with fits drawn from a
+/// shared [`FitPool`] so budgets (or cells) whose training inputs
+/// coincide fit once; outputs are bit-identical to fitting every budget
+/// from scratch.
 pub fn run(ctx: &ExperimentContext, cfg: &Table7Config) -> Table7 {
     let pool = FitPool::new();
     let common = ctx.common_subset();
@@ -109,8 +109,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table7Config) -> Table7 {
             } else {
                 SupervisedConfig::new(model, cfg.seed)
             };
-            let row = match transfer_supervised_budgets(input, sup_cfg, cfg.folds, cfg.seed, &pool)
-            {
+            let row = match transfer_supervised(input, sup_cfg, cfg.folds, cfg.seed, &pool) {
                 Ok(budgets) => Some(Table7Row {
                     model: model.name().to_string(),
                     budgets,

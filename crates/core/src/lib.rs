@@ -12,8 +12,9 @@
 //!   Random Forest per cluster);
 //! * [`supervised`] — the six supervised baselines (DT, RF, SVM, KNN,
 //!   XGBoost, CNN) behind one interface;
-//! * [`transfer`] — the cross-architecture transfer protocol with
-//!   0 / 25 / 50 % retraining budgets;
+//! * [`transfer`] — the evaluation protocols: local k-fold
+//!   cross-validation and cross-architecture transfer with 0 / 25 / 50 %
+//!   retraining budgets;
 //! * [`speedup`] — the paper's GT / CSR / Threshold performance columns;
 //! * [`experiments`] — one runner per table of the paper (Tables 2-9 plus
 //!   the Section 5.1 worst-case anecdote).
@@ -22,10 +23,8 @@ pub mod cache;
 pub mod corpus;
 pub mod error;
 pub mod experiments;
-pub mod featsel;
 pub mod online;
 pub mod overhead;
-pub mod regression;
 pub mod semi;
 pub mod share;
 pub mod speedup;
@@ -36,18 +35,18 @@ pub mod transfer;
 pub use cache::{Cache, GcConfig, GcReport};
 pub use corpus::{Corpus, CorpusConfig, MatrixRecord};
 pub use error::{CoreError, CoreResult};
-pub use featsel::{greedy_forward_selection, FeatureSelection, SearchModel};
 pub use online::{
     ContentionReport, DecisionPhaseNs, OnlineContention, OnlineDecision, OnlineFeedbackView,
     OnlineSnapshot, OnlineStateData, OnlineView, ShardedOnlineSelector,
 };
 pub use overhead::{amortized_best, break_even_iterations, AmortizedChoice};
-pub use regression::TimeRegressor;
 pub use semi::{ClusterMethod, Labeler, SemiConfig, SemiSupervisedSelector};
 pub use speedup::{selection_quality, SelectionQuality};
 pub use supervised::{SupervisedConfig, SupervisedModel};
 pub use telemetry::{DegradationReport, RunReport};
-pub use transfer::{transfer_semi, transfer_semi_budgets, transfer_supervised, RetrainBudget};
+pub use transfer::{
+    local_semi, local_supervised, transfer_semi, transfer_supervised, RetrainBudget,
+};
 
 /// Class count for a training label set: the paper's 4-class space
 /// ([`spsel_matrix::Format::COUNT`]) when every label is one of the CUSP

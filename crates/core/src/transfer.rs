@@ -1,10 +1,15 @@
-//! Evaluation protocols: local 5-fold cross-validation and the
-//! cross-architecture transfer experiment with 0 / 25 / 50 % retraining.
+//! Evaluation protocols: local k-fold cross-validation (Tables 4 and 6)
+//! and the cross-architecture transfer experiment with 0 / 25 / 50 %
+//! retraining (Tables 5 and 7), one function each over one fold driver.
 //!
 //! Folds run through the parallel runtime's index-addressed drivers: every
 //! fold derives from the same `(folds, seed)` split and writes only its own
 //! output slot, so serial and parallel runs are bit-identical at any worker
-//! count (`tests/thread_sweep.rs` proves it).
+//! count (`tests/thread_sweep.rs` proves it). The local protocols and
+//! supervised transfer fit through a shared [`FitPool`], so cells that
+//! would train an identical model fit it once; `tests/share.rs` proves
+//! every protocol bit-identical to a plain oracle that fits from scratch
+//! in every fold.
 
 use crate::error::CoreResult;
 use crate::semi::{SemiConfig, SemiSupervisedSelector};
@@ -17,6 +22,7 @@ use spsel_features::{DensityImage, FeatureVector};
 use spsel_gpusim::BenchResult;
 use spsel_matrix::Format;
 use spsel_ml::cv::{stratified_kfold, stratified_subsample};
+use std::sync::Arc;
 
 /// Fraction of target-architecture training data available for retraining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,39 +94,62 @@ fn images_of(
     images.map(|imgs| indices.iter().map(|&i| imgs[i].clone()).collect())
 }
 
-/// Local protocol (Tables 4 and 6): k-fold cross-validation with training
-/// and evaluation on the same architecture.
-pub fn local_semi(
-    features: &[FeatureVector],
-    results: &[BenchResult],
-    cfg: SemiConfig,
+/// The fold driver of every protocol: a stratified k-fold split on the
+/// best formats of `truth`, `cell(train, test)` run on every fold through
+/// the parallel runtime, and each of the cell's `N` slots averaged over
+/// the folds in fold order. The first failing fold's error wins.
+fn cross_validate<const N: usize>(
+    truth: &[BenchResult],
     folds: usize,
     seed: u64,
-) -> SelectionQuality {
-    let y: Vec<usize> = results.iter().map(|r| r.best.index()).collect();
-    let qualities: Vec<SelectionQuality> = stratified_kfold(&y, Format::COUNT, folds, seed)
-        .into_par_iter()
-        .map(|(train, test)| {
-            let sel = SemiSupervisedSelector::fit(
-                &features_of(features, &train),
-                &labels_of(results, &train),
-                cfg,
-            );
-            let preds = sel.predict_batch(&features_of(features, &test));
-            selection_quality(&preds, &results_of(results, &test))
-        })
-        .collect();
-    SelectionQuality::average(&qualities)
+    cell: impl Fn(&[usize], &[usize]) -> CoreResult<[SelectionQuality; N]> + Send + Sync,
+) -> CoreResult<[SelectionQuality; N]> {
+    let y: Vec<usize> = truth.iter().map(|r| r.best.index()).collect();
+    let per_fold: Vec<[SelectionQuality; N]> = stratified_kfold(&y, Format::COUNT, folds, seed)
+        .par_iter()
+        .map(|(train, test)| cell(train, test))
+        .collect::<Vec<_>>()
+        .into_iter()
+        .collect::<CoreResult<_>>()?;
+    Ok(std::array::from_fn(|slot| {
+        let per_slot: Vec<SelectionQuality> = per_fold.iter().map(|q| q[slot]).collect();
+        SelectionQuality::average(&per_slot)
+    }))
 }
 
-/// [`local_semi`] with the per-fold clustering drawn from a shared
-/// [`FitPool`]: cells that train different labelers on the same
-/// `(features, method, seed)` fold fit the clustering once.
-/// `SemiSupervisedSelector::fit` is definitionally
-/// `from_clustering(fit_clustering(..))`, so the cell output is
-/// bit-identical to the unpooled protocol (proven in
-/// `tests/share.rs`).
-pub fn local_semi_pooled(
+/// The positions within `train` that each budget benchmarks on the target:
+/// a stratified subset by target label, `None` at 0 %.
+fn retrain_subsets(target: &[BenchResult], train: &[usize], seed: u64) -> [Option<Vec<usize>>; 3] {
+    let train_y: Vec<usize> = train.iter().map(|&i| target[i].best.index()).collect();
+    RetrainBudget::ALL.map(|budget| {
+        (budget.fraction() > 0.0)
+            .then(|| stratified_subsample(&train_y, Format::COUNT, budget.fraction(), seed))
+    })
+}
+
+/// Fit a supervised model. Featural models come from the pool; with
+/// images (CNN) the model fits directly, because an image tensor is not
+/// part of the pool key.
+fn fit_supervised(
+    features: &[FeatureVector],
+    images: Option<&[Option<DensityImage>]>,
+    labels: &[Format],
+    cfg: SupervisedConfig,
+    pool: &FitPool,
+) -> CoreResult<Arc<SupervisedSelector>> {
+    match images {
+        None => pool.supervised(features, labels, cfg),
+        Some(_) => SupervisedSelector::fit(features, images, labels, cfg).map(Arc::new),
+    }
+}
+
+/// Local protocol for the semi-supervised selector (Table 4): k-fold
+/// cross-validation with training and evaluation on the same
+/// architecture. Each fold's clustering comes from `pool`, so cells that
+/// train different labelers on the same `(features, method, seed)` fold
+/// fit it once; `SemiSupervisedSelector::fit` is definitionally
+/// `from_clustering(fit_clustering(..))`, so sharing moves no bit.
+pub fn local_semi(
     features: &[FeatureVector],
     results: &[BenchResult],
     cfg: SemiConfig,
@@ -128,23 +157,23 @@ pub fn local_semi_pooled(
     seed: u64,
     pool: &FitPool,
 ) -> SelectionQuality {
-    let y: Vec<usize> = results.iter().map(|r| r.best.index()).collect();
-    let qualities: Vec<SelectionQuality> = stratified_kfold(&y, Format::COUNT, folds, seed)
-        .into_par_iter()
-        .map(|(train, test)| {
-            let train_features = features_of(features, &train);
-            let fc = pool.clustering(&train_features, cfg.method, cfg.seed, cfg.pca_dim);
-            let sel =
-                SemiSupervisedSelector::from_clustering(&fc, &labels_of(results, &train), cfg);
-            let preds = sel.predict_batch(&features_of(features, &test));
-            selection_quality(&preds, &results_of(results, &test))
-        })
-        .collect();
-    SelectionQuality::average(&qualities)
+    let [q] = cross_validate(results, folds, seed, |train, test| {
+        let fc = pool.clustering(
+            &features_of(features, train),
+            cfg.method,
+            cfg.seed,
+            cfg.pca_dim,
+        );
+        let sel = SemiSupervisedSelector::from_clustering(&fc, &labels_of(results, train), cfg);
+        let preds = sel.predict_batch(&features_of(features, test));
+        Ok([selection_quality(&preds, &results_of(results, test))])
+    })
+    .expect("semi-supervised folds do not fail");
+    q
 }
 
-/// Local protocol for a supervised model. Errors when the model cannot be
-/// fit (e.g. CNN without images) instead of panicking.
+/// Local protocol for a supervised model (Table 6). Errors when the model
+/// cannot be fit (e.g. CNN without images) instead of panicking.
 pub fn local_supervised(
     features: &[FeatureVector],
     images: Option<&[Option<DensityImage>]>,
@@ -152,60 +181,21 @@ pub fn local_supervised(
     cfg: SupervisedConfig,
     folds: usize,
     seed: u64,
-) -> CoreResult<SelectionQuality> {
-    let y: Vec<usize> = results.iter().map(|r| r.best.index()).collect();
-    let qualities: Vec<SelectionQuality> = stratified_kfold(&y, Format::COUNT, folds, seed)
-        .into_par_iter()
-        .map(|(train, test)| -> CoreResult<SelectionQuality> {
-            let train_imgs = images_of(images, &train);
-            let sel = SupervisedSelector::fit(
-                &features_of(features, &train),
-                train_imgs.as_deref(),
-                &labels_of(results, &train),
-                cfg,
-            )?;
-            let test_imgs = images_of(images, &test);
-            let preds = sel.predict_batch(&features_of(features, &test), test_imgs.as_deref());
-            Ok(selection_quality(&preds, &results_of(results, &test)))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<CoreResult<_>>()?;
-    Ok(SelectionQuality::average(&qualities))
-}
-
-/// [`local_supervised`] with featural fits drawn from a shared
-/// [`FitPool`]. CNN cells (images present) fit directly — an image
-/// tensor is not part of the pool key — so only cells whose fit is fully
-/// determined by `(features, labels, config)` ever share.
-pub fn local_supervised_pooled(
-    features: &[FeatureVector],
-    images: Option<&[Option<DensityImage>]>,
-    results: &[BenchResult],
-    cfg: SupervisedConfig,
-    folds: usize,
-    seed: u64,
     pool: &FitPool,
 ) -> CoreResult<SelectionQuality> {
-    if images.is_some() {
-        return local_supervised(features, images, results, cfg, folds, seed);
-    }
-    let y: Vec<usize> = results.iter().map(|r| r.best.index()).collect();
-    let qualities: Vec<SelectionQuality> = stratified_kfold(&y, Format::COUNT, folds, seed)
-        .into_par_iter()
-        .map(|(train, test)| -> CoreResult<SelectionQuality> {
-            let sel = pool.supervised(
-                &features_of(features, &train),
-                &labels_of(results, &train),
-                cfg,
-            )?;
-            let preds = sel.predict_batch(&features_of(features, &test), None);
-            Ok(selection_quality(&preds, &results_of(results, &test)))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<CoreResult<_>>()?;
-    Ok(SelectionQuality::average(&qualities))
+    let [q] = cross_validate(results, folds, seed, |train, test| {
+        let sel = fit_supervised(
+            &features_of(features, train),
+            images_of(images, train).as_deref(),
+            &labels_of(results, train),
+            cfg,
+            pool,
+        )?;
+        let test_images = images_of(images, test);
+        let preds = sel.predict_batch(&features_of(features, test), test_images.as_deref());
+        Ok([selection_quality(&preds, &results_of(results, test))])
+    })?;
+    Ok(q)
 }
 
 /// Transfer protocol for the semi-supervised selector (Table 5) at all
@@ -213,172 +203,69 @@ pub fn local_supervised_pooled(
 /// the training fold with *source* labels, then cloned and relabeled with
 /// *target* benchmarks of a stratified subset for each nonzero budget.
 /// Evaluation is against the target ground truth on the held-out fold.
-pub fn transfer_semi_budgets(
+pub fn transfer_semi(
     input: TransferInput<'_>,
     cfg: SemiConfig,
     folds: usize,
     seed: u64,
 ) -> [SelectionQuality; 3] {
-    let y_target: Vec<usize> = input.target.iter().map(|r| r.best.index()).collect();
-    let per_fold: Vec<[SelectionQuality; 3]> =
-        stratified_kfold(&y_target, Format::COUNT, folds, seed)
-            .into_par_iter()
-            .map(|(train, test)| {
-                let base = SemiSupervisedSelector::fit(
-                    &features_of(input.features, &train),
-                    &labels_of(input.source, &train),
-                    cfg,
-                );
-                let test_features = features_of(input.features, &test);
-                let test_results = results_of(input.target, &test);
-                let train_y: Vec<usize> = train
-                    .iter()
-                    .map(|&i| input.target[i].best.index())
-                    .collect();
-                RetrainBudget::ALL.map(|budget| {
-                    let preds = if budget.fraction() > 0.0 {
-                        // Stratified subset of the training fold, benchmarked on
-                        // the target architecture.
-                        let sub =
-                            stratified_subsample(&train_y, Format::COUNT, budget.fraction(), seed);
-                        let sub_labels: Vec<Format> =
-                            sub.iter().map(|&p| input.target[train[p]].best).collect();
-                        let mut sel = base.clone();
-                        sel.relabel(&sub, &sub_labels);
-                        sel.predict_batch(&test_features)
-                    } else {
-                        base.predict_batch(&test_features)
-                    };
-                    selection_quality(&preds, &test_results)
-                })
-            })
-            .collect();
-    [0, 1, 2].map(|b| {
-        let per_budget: Vec<SelectionQuality> = per_fold.iter().map(|f| f[b]).collect();
-        SelectionQuality::average(&per_budget)
-    })
-}
-
-/// Single-budget variant of [`transfer_semi_budgets`].
-pub fn transfer_semi(
-    input: TransferInput<'_>,
-    cfg: SemiConfig,
-    budget: RetrainBudget,
-    folds: usize,
-    seed: u64,
-) -> SelectionQuality {
-    let all = transfer_semi_budgets(input, cfg, folds, seed);
-    all[RetrainBudget::ALL
-        .iter()
-        .position(|b| *b == budget)
-        .expect("budget listed")]
-}
-
-/// Transfer protocol for a supervised model (Table 7): the model trains on
-/// the training fold where the retraining-budget subset carries target
-/// labels and the rest carries source labels; evaluation is against the
-/// target ground truth on the held-out fold.
-pub fn transfer_supervised(
-    input: TransferInput<'_>,
-    cfg: SupervisedConfig,
-    budget: RetrainBudget,
-    folds: usize,
-    seed: u64,
-) -> CoreResult<SelectionQuality> {
-    let y_target: Vec<usize> = input.target.iter().map(|r| r.best.index()).collect();
-    let qualities: Vec<SelectionQuality> = stratified_kfold(&y_target, Format::COUNT, folds, seed)
-        .into_par_iter()
-        .map(|(train, test)| -> CoreResult<SelectionQuality> {
-            let mut labels = labels_of(input.source, &train);
-            if budget.fraction() > 0.0 {
-                let train_y: Vec<usize> = train
-                    .iter()
-                    .map(|&i| input.target[i].best.index())
-                    .collect();
-                let sub = stratified_subsample(&train_y, Format::COUNT, budget.fraction(), seed);
-                for &p in &sub {
-                    labels[p] = input.target[train[p]].best;
+    cross_validate(input.target, folds, seed, |train, test| {
+        let base = SemiSupervisedSelector::fit(
+            &features_of(input.features, train),
+            &labels_of(input.source, train),
+            cfg,
+        );
+        let test_features = features_of(input.features, test);
+        let test_results = results_of(input.target, test);
+        Ok(retrain_subsets(input.target, train, seed).map(|subset| {
+            let preds = match subset {
+                Some(sub) => {
+                    let sub_labels: Vec<Format> =
+                        sub.iter().map(|&p| input.target[train[p]].best).collect();
+                    let mut sel = base.clone();
+                    sel.relabel(&sub, &sub_labels);
+                    sel.predict_batch(&test_features)
                 }
-            }
-            let train_imgs = images_of(input.images, &train);
-            let sel = SupervisedSelector::fit(
-                &features_of(input.features, &train),
-                train_imgs.as_deref(),
-                &labels,
-                cfg,
-            )?;
-            let test_imgs = images_of(input.images, &test);
-            let preds =
-                sel.predict_batch(&features_of(input.features, &test), test_imgs.as_deref());
-            Ok(selection_quality(&preds, &results_of(input.target, &test)))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<CoreResult<_>>()?;
-    Ok(SelectionQuality::average(&qualities))
+                None => base.predict_batch(&test_features),
+            };
+            selection_quality(&preds, &test_results)
+        }))
+    })
+    .expect("semi-supervised folds do not fail")
 }
 
-/// [`transfer_supervised`] at all three budgets with one k-fold split
-/// computation and fits drawn from a shared [`FitPool`]: budgets whose
-/// label vectors coincide on a fold (always true when the stratified
-/// subset happens to agree with the source labels, and common between
-/// 0% and small budgets) share one fit. Per budget, the result is
-/// bit-identical to the single-budget protocol.
-pub fn transfer_supervised_budgets(
+/// Transfer protocol for a supervised model (Table 7) at all three
+/// retraining budgets: the model trains on the training fold where the
+/// budget's subset carries target labels and the rest carries source
+/// labels; evaluation is against the target ground truth on the held-out
+/// fold. Budgets whose label vectors coincide on a fold share one fit
+/// through `pool`.
+pub fn transfer_supervised(
     input: TransferInput<'_>,
     cfg: SupervisedConfig,
     folds: usize,
     seed: u64,
     pool: &FitPool,
 ) -> CoreResult<[SelectionQuality; 3]> {
-    let y_target: Vec<usize> = input.target.iter().map(|r| r.best.index()).collect();
-    let per_fold: Vec<[SelectionQuality; 3]> =
-        stratified_kfold(&y_target, Format::COUNT, folds, seed)
-            .into_par_iter()
-            .map(|(train, test)| -> CoreResult<[SelectionQuality; 3]> {
-                let train_features = features_of(input.features, &train);
-                let test_features = features_of(input.features, &test);
-                let test_results = results_of(input.target, &test);
-                let train_imgs = images_of(input.images, &train);
-                let test_imgs = images_of(input.images, &test);
-                let source_labels = labels_of(input.source, &train);
-                let train_y: Vec<usize> = train
-                    .iter()
-                    .map(|&i| input.target[i].best.index())
-                    .collect();
-                let mut qs = Vec::with_capacity(RetrainBudget::ALL.len());
-                for budget in RetrainBudget::ALL {
-                    let mut labels = source_labels.clone();
-                    if budget.fraction() > 0.0 {
-                        let sub =
-                            stratified_subsample(&train_y, Format::COUNT, budget.fraction(), seed);
-                        for &p in &sub {
-                            labels[p] = input.target[train[p]].best;
-                        }
-                    }
-                    let preds = if input.images.is_none() {
-                        let sel = pool.supervised(&train_features, &labels, cfg)?;
-                        sel.predict_batch(&test_features, None)
-                    } else {
-                        let sel = SupervisedSelector::fit(
-                            &train_features,
-                            train_imgs.as_deref(),
-                            &labels,
-                            cfg,
-                        )?;
-                        sel.predict_batch(&test_features, test_imgs.as_deref())
-                    };
-                    qs.push(selection_quality(&preds, &test_results));
-                }
-                Ok([qs[0], qs[1], qs[2]])
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect::<CoreResult<_>>()?;
-    Ok([0, 1, 2].map(|b| {
-        let per_budget: Vec<SelectionQuality> = per_fold.iter().map(|f| f[b]).collect();
-        SelectionQuality::average(&per_budget)
-    }))
+    cross_validate(input.target, folds, seed, |train, test| {
+        let train_features = features_of(input.features, train);
+        let train_images = images_of(input.images, train);
+        let test_features = features_of(input.features, test);
+        let test_images = images_of(input.images, test);
+        let test_results = results_of(input.target, test);
+        let source_labels = labels_of(input.source, train);
+        let mut qs = Vec::with_capacity(RetrainBudget::ALL.len());
+        for subset in retrain_subsets(input.target, train, seed) {
+            let mut labels = source_labels.clone();
+            for &p in subset.iter().flatten() {
+                labels[p] = input.target[train[p]].best;
+            }
+            let sel = fit_supervised(&train_features, train_images.as_deref(), &labels, cfg, pool)?;
+            let preds = sel.predict_batch(&test_features, test_images.as_deref());
+            qs.push(selection_quality(&preds, &test_results));
+        }
+        Ok([qs[0], qs[1], qs[2]])
+    })
 }
 
 #[cfg(test)]
@@ -428,6 +315,7 @@ mod tests {
             SemiConfig::new(ClusterMethod::KMeans { nc: 8 }, Labeler::Vote, 1),
             5,
             1,
+            &FitPool::new(),
         );
         assert!(q.acc > 0.8, "acc {}", q.acc);
         assert!(q.mcc > 0.5, "mcc {}", q.mcc);
@@ -443,8 +331,7 @@ mod tests {
             target: &target,
         };
         let cfg = SemiConfig::new(ClusterMethod::KMeans { nc: 8 }, Labeler::Vote, 1);
-        let q0 = transfer_semi(input, cfg, RetrainBudget::Zero, 5, 2);
-        let q50 = transfer_semi(input, cfg, RetrainBudget::Half, 5, 2);
+        let [q0, _, q50] = transfer_semi(input, cfg, 5, 2);
         // At 0% the selector predicts ELL for population A (source labels)
         // but the target wants CSR, so accuracy is ~0.5; retraining fixes it.
         assert!(q0.acc < 0.75, "0% acc {}", q0.acc);
@@ -461,8 +348,7 @@ mod tests {
             target: &target,
         };
         let cfg = SupervisedConfig::quick(SupervisedModel::Dt, 3);
-        let q0 = transfer_supervised(input, cfg, RetrainBudget::Zero, 5, 2).unwrap();
-        let q50 = transfer_supervised(input, cfg, RetrainBudget::Half, 5, 2).unwrap();
+        let [q0, _, q50] = transfer_supervised(input, cfg, 5, 2, &FitPool::new()).unwrap();
         // At 0% population A carries only stale source labels (~50%
         // overall accuracy); at 50% half of its labels are corrected, so
         // accuracy must rise markedly (though mixed labels cap it).
@@ -480,6 +366,7 @@ mod tests {
             SupervisedConfig::quick(SupervisedModel::Rf, 5),
             5,
             3,
+            &FitPool::new(),
         )
         .unwrap();
         assert!(q.acc > 0.85, "acc {}", q.acc);

@@ -130,11 +130,6 @@ impl Preprocessor {
     pub fn embed(&self, f: &FeatureVector) -> Vec<f64> {
         self.embed_row(f.as_slice())
     }
-
-    /// Embed a batch of feature vectors.
-    pub fn embed_all(&self, fs: &[FeatureVector]) -> Vec<Vec<f64>> {
-        fs.iter().map(|f| self.embed(f)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -420,8 +420,8 @@ fn measure_record(
 /// Resiliently benchmark a corpus on one GPU: trial-level measurement with
 /// retry, robust aggregation, and quarantine, driven by `faults`.
 ///
-/// With `faults` disabled this takes the single-shot path and the outcomes
-/// are bit-identical to [`benchmark_corpus`].
+/// With `faults` disabled this is the single-shot [`benchmark_corpus`],
+/// its `None` cells reported as infeasible.
 pub fn measure_corpus(
     spec: &GpuSpec,
     stats: &[MatrixStats],
@@ -431,17 +431,11 @@ pub fn measure_corpus(
 ) -> CorpusBench {
     assert_eq!(stats.len(), ids.len(), "one id per matrix");
     if !faults.enabled() {
-        let outcomes = stats
-            .par_iter()
-            .zip(ids.par_iter())
-            .map(|(s, &id)| {
-                let times = predict_times(spec, s, id);
-                match times.best() {
-                    Some(best) => BenchOutcome::Ok {
-                        result: BenchResult { times, best },
-                    },
-                    None => BenchOutcome::Infeasible,
-                }
+        let outcomes = benchmark_corpus(spec, stats, ids)
+            .into_iter()
+            .map(|r| match r {
+                Some(result) => BenchOutcome::Ok { result },
+                None => BenchOutcome::Infeasible,
             })
             .collect();
         return CorpusBench {

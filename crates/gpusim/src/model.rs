@@ -95,13 +95,6 @@ fn utilization(spec: &GpuSpec, items: f64) -> f64 {
     (items / (spec.max_threads() * 2.0)).clamp(0.02, 1.0)
 }
 
-/// Decompose the four CUSP kernel times for a matrix described by `stats`
-/// (noise-free): [`explain_workload`] under [`Workload::SpMv`] for each of
-/// [`Format::ALL`], in that order.
-pub fn explain_times(spec: &GpuSpec, stats: &MatrixStats) -> [TimeBreakdown; 4] {
-    Format::ALL.map(|f| spmv_breakdown(spec, stats, f))
-}
-
 /// Model the four CUSP kernel times for a matrix described by `stats`:
 /// [`predict_workload_times`] for SpMV over the default registry.
 ///
@@ -631,7 +624,7 @@ mod tests {
     fn explain_matches_predict_up_to_noise() {
         let s = stats_of(&gen::power_law(1000, 1000, 2, 2.3, 300, 7));
         for gpu in [pascal_gtx1080(), volta_v100(), turing_rtx8000()] {
-            let breakdown = explain_times(&gpu, &s);
+            let breakdown = Format::ALL.map(|f| explain_workload(&gpu, &s, f, Workload::SpMv));
             let times = predict_times(&gpu, &s, 42);
             for f in Format::ALL {
                 let b = breakdown[f.index()];
@@ -660,8 +653,7 @@ mod tests {
         let mut counts = vec![3usize; 2_000_000];
         counts[0] = 30_000_000;
         let s = MatrixStats::from_row_counts(2_000_000, 2_000_000, &counts);
-        let b = explain_times(&turing_rtx8000(), &s);
-        let csr = b[Format::Csr.index()];
+        let csr = explain_workload(&turing_rtx8000(), &s, Format::Csr, Workload::SpMv);
         assert!(csr.straggler_us > 10.0 * csr.stream_us);
     }
 

@@ -1,5 +1,6 @@
-//! Cross-validation utilities: stratified k-fold splits and seeded
-//! train/test splits, matching the paper's 5-fold CV protocol.
+//! Cross-validation utilities: stratified k-fold splits, matching the
+//! paper's 5-fold CV protocol, and the stratified subsamples of its
+//! retraining budgets.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -37,19 +38,6 @@ pub fn stratified_kfold(
             (train, test)
         })
         .collect()
-}
-
-/// Seeded shuffle split: returns `(train_indices, test_indices)` with
-/// `train_frac` of the samples (rounded down, at least one test sample if
-/// possible) in the training set.
-pub fn train_test_split(n: usize, train_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    assert!((0.0..=1.0).contains(&train_frac), "fraction out of range");
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    let cut = ((n as f64) * train_frac).floor() as usize;
-    let test = idx.split_off(cut);
-    (idx, test)
 }
 
 /// Stratified subsample: returns indices of approximately `frac` of the
@@ -119,16 +107,6 @@ mod tests {
         let y = labels();
         assert_eq!(stratified_kfold(&y, 3, 5, 7), stratified_kfold(&y, 3, 5, 7));
         assert_ne!(stratified_kfold(&y, 3, 5, 7), stratified_kfold(&y, 3, 5, 8));
-    }
-
-    #[test]
-    fn split_sizes() {
-        let (train, test) = train_test_split(100, 0.75, 1);
-        assert_eq!(train.len(), 75);
-        assert_eq!(test.len(), 25);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

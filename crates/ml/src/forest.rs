@@ -62,11 +62,6 @@ impl RandomForest {
         Self::new(RandomForestParams::default())
     }
 
-    /// Number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// The RNG of tree `t`: its bootstrap draws, then its tree seed.
     fn tree_rng(&self, t: usize) -> StdRng {
         StdRng::seed_from_u64(

@@ -28,7 +28,6 @@ pub mod gboost;
 pub mod knn;
 pub mod logreg;
 pub mod metrics;
-pub mod ridge;
 pub mod svm;
 #[cfg(test)]
 mod testdata;
@@ -40,14 +39,13 @@ pub use cluster::{
     Clustering,
 };
 pub use cnn::CnnClassifier;
-pub use cv::{stratified_kfold, train_test_split};
+pub use cv::stratified_kfold;
 pub use data::Dataset;
 pub use forest::RandomForest;
 pub use gboost::GradientBoosting;
 pub use knn::KnnClassifier;
 pub use logreg::LogisticRegression;
 pub use metrics::{accuracy, f1_score, mcc, ConfusionMatrix};
-pub use ridge::RidgeRegression;
 pub use svm::LinearSvm;
 pub use tree::DecisionTree;
 

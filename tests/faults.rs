@@ -8,6 +8,7 @@ use spselect::core::cache::Cache;
 use spselect::core::corpus::CorpusConfig;
 use spselect::core::experiments::ExperimentContext;
 use spselect::core::semi::{ClusterMethod, Labeler, SemiConfig};
+use spselect::core::share::FitPool;
 use spselect::core::telemetry::RunReport;
 use spselect::core::transfer::local_semi;
 use spselect::gpusim::{FaultConfig, FaultRates, Gpu, TrialPolicy};
@@ -173,7 +174,7 @@ fn headline_accuracy_moves_less_than_a_point() {
     let quality = |ctx: &ExperimentContext| {
         let results = ctx.results(Gpu::Volta, &ds).unwrap();
         let cfg = SemiConfig::new(ClusterMethod::KMeans { nc: 12 }, Labeler::Vote, 11);
-        local_semi(&features, &results, cfg, 3, 11)
+        local_semi(&features, &results, cfg, 3, 11, &FitPool::new())
     };
     let q_clean = quality(&clean);
     let q_faulty = quality(&faulty);

@@ -6,6 +6,7 @@
 use spselect::core::corpus::{Corpus, CorpusConfig};
 use spselect::core::experiments::ExperimentContext;
 use spselect::core::semi::{ClusterMethod, Labeler, SemiConfig};
+use spselect::core::share::FitPool;
 use spselect::core::speedup::SelectionQuality;
 use spselect::core::supervised::{SupervisedConfig, SupervisedModel};
 use spselect::core::transfer::{local_semi, local_supervised};
@@ -91,7 +92,10 @@ fn cross_validation_is_bit_identical_at_any_worker_count() {
     // the shared seed alone, so the per-fold qualities and their average
     // must not depend on the worker count. Four clusters keep them large
     // and mixed enough that the labelers fit models rather than vote.
+    // A fresh pool per run: every run fits its models itself rather than
+    // reading them from an earlier run's pool.
     let run = || -> Vec<(&str, SelectionQuality)> {
+        let pool = FitPool::new();
         let sup = |model| {
             local_supervised(
                 &features,
@@ -100,6 +104,7 @@ fn cross_validation_is_bit_identical_at_any_worker_count() {
                 SupervisedConfig::quick(model, 5),
                 3,
                 5,
+                &pool,
             )
             .expect("supervised CV fits")
         };
@@ -110,6 +115,7 @@ fn cross_validation_is_bit_identical_at_any_worker_count() {
                 SemiConfig::new(ClusterMethod::KMeans { nc }, labeler, 5),
                 3,
                 5,
+                &pool,
             )
         };
         vec![
