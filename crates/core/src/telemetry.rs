@@ -6,7 +6,7 @@
 //! was — which is what makes the "cold run is parallel" and "warm run is
 //! cached" claims auditable instead of anecdotal.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Wire};
 use spsel_gpusim::{FaultCounters, FaultRates};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -60,42 +60,16 @@ pub struct CacheReport {
     pub model_stores: u64,
 }
 
-/// One field of a [`ServingReport`], by value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Counter {
-    /// A count, a sum or a maximum.
-    U64(u64),
-    /// A latency quantile or maximum.
-    F64(f64),
-}
-
-/// One field of a [`ServingReport`], by mutable reference.
-#[derive(Debug)]
-pub enum CounterMut<'a> {
-    /// A count, a sum or a maximum.
-    U64(&'a mut u64),
-    /// A latency quantile or maximum.
-    F64(&'a mut f64),
-}
-
 /// The field types the serving-counter table may declare, and how each
 /// sits in its `AtomicU64` slot: a `u64` as itself, an `f64` as its
 /// [`f64::to_bits`] pattern.
 trait CounterType: Copy {
     fn from_slot(slot: u64) -> Self;
-    fn view(self) -> Counter;
-    fn view_mut(&mut self) -> CounterMut<'_>;
 }
 
 impl CounterType for u64 {
     fn from_slot(slot: u64) -> u64 {
         slot
-    }
-    fn view(self) -> Counter {
-        Counter::U64(self)
-    }
-    fn view_mut(&mut self) -> CounterMut<'_> {
-        CounterMut::U64(self)
     }
 }
 
@@ -103,19 +77,13 @@ impl CounterType for f64 {
     fn from_slot(slot: u64) -> f64 {
         f64::from_bits(slot)
     }
-    fn view(self) -> Counter {
-        Counter::F64(self)
-    }
-    fn view_mut(&mut self) -> CounterMut<'_> {
-        CounterMut::F64(self)
-    }
 }
 
 /// Generates, from the one table of serving counters below, the
-/// [`ServingReport`] struct, its lock-free mirror [`ServingCounters`]
-/// with [`ServingCounters::load`], and the ordered field walks
-/// [`ServingReport::fields`] and [`ServingReport::fields_mut`]. The
-/// binary wire format and the JSON key order are the table's order.
+/// [`ServingReport`] struct, whose derives give it its JSON and binary
+/// wire forms, and its lock-free mirror [`ServingCounters`] with
+/// [`ServingCounters::load`]. The binary field order and the JSON key
+/// order are the table's order.
 macro_rules! serving_counters {
     ($($(#[$doc:meta])* $name:ident: $ty:ident,)*) => {
         /// Snapshot of a serving process's counters (the `spsel-serve`
@@ -123,7 +91,7 @@ macro_rules! serving_counters {
         /// mix, latency quantiles from a monotonic clock,
         /// online-clustering activity, and how much feedback the online
         /// loop absorbed.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize, Wire)]
         pub struct ServingReport {
             $($(#[$doc])* pub $name: $ty,)*
         }
@@ -146,22 +114,6 @@ macro_rules! serving_counters {
                 ServingReport {
                     $($name: CounterType::from_slot(self.$name.load(Ordering::Relaxed)),)*
                 }
-            }
-        }
-
-        impl ServingReport {
-            /// Number of fields.
-            pub const FIELDS: usize = [$(stringify!($name)),*].len();
-
-            /// Every field with its name, in declaration order.
-            pub fn fields(&self) -> [(&'static str, Counter); Self::FIELDS] {
-                [$((stringify!($name), CounterType::view(self.$name)),)*]
-            }
-
-            /// Every field with its name, in declaration order, for
-            /// writing.
-            pub fn fields_mut(&mut self) -> [(&'static str, CounterMut<'_>); Self::FIELDS] {
-                [$((stringify!($name), CounterType::view_mut(&mut self.$name)),)*]
             }
         }
     };

@@ -6,7 +6,7 @@
 //! [`ErrorEnvelope`] on the wire: a stable machine-readable `code` plus a
 //! human-readable `message`. Nothing on the request path panics.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Wire};
 use spsel_core::CoreError;
 use std::fmt;
 
@@ -321,7 +321,7 @@ impl From<CoreError> for ServeError {
 }
 
 /// The wire form of every failure: one stable code, one readable message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct ErrorEnvelope {
     /// Machine-readable error class (`bad_request`, `unknown_gpu`, ...).
     pub code: String,

@@ -1,13 +1,18 @@
-//! The JSON codec's heap allocations on the serving path, counted.
+//! Both serving codecs' heap allocations, counted.
 //!
 //! A counting global allocator wraps the system allocator (as in
-//! `crates/core/tests/zero_alloc.rs`). Encoding a select reply into a
-//! buffer with spare capacity must allocate nothing, and decoding an
-//! inline select line must allocate only the blocks the decoded request
-//! owns: its GPU name, its feature vector (at its final length) and its
-//! workload name. Everything lives in one `#[test]` because the counter
-//! is process-global: concurrent test threads would pollute it.
+//! `crates/core/tests/zero_alloc.rs`) and sums the bytes it hands out.
+//! For JSON: encoding a select reply into a buffer with spare capacity
+//! must allocate nothing, and decoding an inline select line must
+//! allocate only the blocks the decoded request owns: its GPU name, its
+//! feature vector (at its final length) and its workload name. For the
+//! binary frames: a body whose count declares more items than it has
+//! bytes left is refused before anything is reserved for the items, so
+//! decoding it allocates under 1 KiB however large the count. Everything
+//! lives in one `#[test]` because the counters are process-global:
+//! concurrent test threads would pollute them.
 
+use spsel_serve::framing::{self, kind};
 use spsel_serve::{Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,20 +20,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,6 +54,26 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
+
+fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
+}
+
+/// Frame bodies whose last count claims 65 535 items with no bytes left
+/// for them.
+const HOSTILE_SELECT: &[u8] = &[0x00, 0x01, 0xff, 0xff];
+
+/// A stats reply: `ok`, the stats tag, `artifact_version`, an empty
+/// `feature_digest`, then the GPU count.
+const HOSTILE_STATS: &[u8] = &[0x01, 0x05, 0, 0, 0, 0, 0, 0, 0xff, 0xff];
+
+/// A select reply: `ok`, the select tag, three empty strings, `cluster`,
+/// `cluster_size`, `centroid_distance`, two bools, then the count of
+/// predicted times.
+const HOSTILE_SELECT_REPLY: &[u8] = &[
+    0x01, 0x02, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0xff, 0xff,
+];
 
 const SELECT_TRANSCRIPT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -105,4 +136,28 @@ fn the_serving_codec_allocates_only_what_it_returns() {
         spent, 3,
         "decoding made {spent} allocations; the request owns 3 blocks"
     );
+
+    let hostile: [(&str, u8, &[u8]); 3] = [
+        ("select request", kind::SELECT, HOSTILE_SELECT),
+        ("stats reply", kind::RESPONSE, HOSTILE_STATS),
+        ("select reply", kind::RESPONSE, HOSTILE_SELECT_REPLY),
+    ];
+    assert_eq!(HOSTILE_SELECT_REPLY.len(), 36);
+    for (name, kind_byte, body) in hostile {
+        let before = allocated_bytes();
+        let code = if kind_byte == kind::RESPONSE {
+            framing::decode_response(kind_byte, body).map(drop)
+        } else {
+            framing::decode_request(kind_byte, body).map(drop)
+        }
+        .expect_err("a count past the body is refused")
+        .code();
+        let spent = allocated_bytes() - before;
+        assert_eq!(code, "malformed", "{name}");
+        assert!(
+            spent < 1024,
+            "decoding a {}-byte hostile {name} allocated {spent} bytes",
+            body.len()
+        );
+    }
 }

@@ -361,6 +361,19 @@ grep -q '"ok":true' "$SMOKE_DIR/b-feedback.json"
 # select + batch + feedback + stats over the binary framing so far.
 grep -q '"binary_requests":4' "$SMOKE_DIR/b-stats.json"
 grep -q '"shed":0' "$SMOKE_DIR/b-stats.json"
+# The u32-length fields on a live daemon: a sync reply carries the
+# journal (the feedback above is in it) over both protocols, and a swap
+# of a missing artifact fails the same typed way over both.
+SYNC_REQ='{"Sync":{"from_seq":0}}'
+./target/release/spsel request "$ADDR" "$SYNC_REQ" > "$SMOKE_DIR/b-sync-json.json"
+./target/release/spsel request --binary "$ADDR" "$SYNC_REQ" > "$SMOKE_DIR/b-sync-bin.json"
+cmp "$SMOKE_DIR/b-sync-json.json" "$SMOKE_DIR/b-sync-bin.json"
+grep -q '"records":\["' "$SMOKE_DIR/b-sync-bin.json"
+SWAP_REQ="{\"Swap\":{\"path\":\"$SMOKE_DIR/missing.spsel\",\"expected_digest\":null}}"
+./target/release/spsel request "$ADDR" "$SWAP_REQ" > "$SMOKE_DIR/b-swap-json.json"
+./target/release/spsel request --binary "$ADDR" "$SWAP_REQ" > "$SMOKE_DIR/b-swap-bin.json"
+cmp "$SMOKE_DIR/b-swap-json.json" "$SMOKE_DIR/b-swap-bin.json"
+grep -q '"code":"io"' "$SMOKE_DIR/b-swap-bin.json"
 
 echo "==> torn-frame smoke (request split mid-line over live TCP)"
 # A request line torn across two TCP writes with a pause in between must

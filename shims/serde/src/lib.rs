@@ -1,11 +1,14 @@
 //! Offline stand-in for `serde`.
 //!
 //! Much smaller than upstream serde's visitor machinery, and exactly what
-//! the workspace needs: `#[derive(Serialize, Deserialize)]` on plain data
-//! types, with JSON as the one data format (the sibling `serde_json`
-//! shim is its entry point).
+//! the workspace needs, in two data formats:
 //!
-//! Both directions work on bytes, with no value tree in between:
+//! * JSON, through `#[derive(Serialize, Deserialize)]` on plain data
+//!   types (the sibling `serde_json` shim is its entry point);
+//! * a binary wire format, through `#[derive(Wire)]` on named-field
+//!   structs: the fields' raw bytes in declaration order (see [`wire`]).
+//!
+//! Both JSON directions work on bytes, with no value tree in between:
 //!
 //! * [`Serialize`] appends compact or pretty JSON to a byte buffer
 //!   through one [`Writer`]. Object keys keep declaration order, so
@@ -19,13 +22,15 @@
 //! [`Value`] is the one tree type, for callers that want a document
 //! without a schema; it serializes and deserializes like any other type.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::{Deserialize, Serialize, Wire};
 
 mod read;
+pub mod wire;
 mod write;
 
 pub use read::Reader;
 use read::Scalar;
+pub use wire::{Wire, WireReader};
 pub use write::Writer;
 
 /// Owned JSON-like value tree.

@@ -13,6 +13,12 @@
 //! the slots in declaration order. Structs are objects; enums are
 //! externally tagged (a unit variant is a bare string, a struct variant a
 //! one-key object).
+//!
+//! `Wire` writes and reads the binary wire format: each field's own
+//! `serde::Wire` impl, in declaration order. It takes named-field
+//! structs only; a field may carry `#[wire(long)]`, which counts every
+//! length inside it in `u32` instead of `u16`. Enums and any other
+//! `#[wire(...)]` attribute are rejected loudly.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
@@ -28,6 +34,8 @@ struct Field {
     name: String,
     /// `#[serde(default)]`: the key may be absent.
     default: bool,
+    /// `#[wire(long)]`: lengths inside the field are `u32`.
+    long: bool,
 }
 
 /// Split a brace group's stream at top-level commas, tracking `<`/`>` depth
@@ -81,16 +89,16 @@ fn skip_attrs_and_vis(toks: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Whether an attribute group (the `[...]` after `#`) is
-/// `serde(default)`; any other `serde(...)` is refused.
-fn is_serde_default(attr: &Group) -> bool {
+/// Whether an attribute group (the `[...]` after `#`) is `path(arg)`;
+/// any other `path(...)` is refused.
+fn is_attr(attr: &Group, path: &str, arg: &str) -> bool {
     let toks: Vec<TokenTree> = attr.stream().into_iter().collect();
     match toks.first() {
-        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {
+        Some(TokenTree::Ident(id)) if id.to_string() == path => {
             let args = toks.get(1).map(|t| t.to_string());
             assert!(
-                toks.len() == 2 && args.as_deref() == Some("(default)"),
-                "serde derive: only #[serde(default)] is supported by the offline shim"
+                toks.len() == 2 && args == Some(format!("({arg})")),
+                "{path} derive: only #[{path}({arg})] is supported by the offline shim"
             );
             true
         }
@@ -99,17 +107,23 @@ fn is_serde_default(attr: &Group) -> bool {
 }
 
 /// One comma-separated part of a struct body: the field's name and
-/// whether it carries `#[serde(default)]`.
+/// whether it carries `#[serde(default)]` or `#[wire(long)]`.
 fn field(part: &[TokenTree]) -> Field {
-    let default = part.windows(2).any(|w| match w {
-        [TokenTree::Punct(p), TokenTree::Group(g)] if p.as_char() == '#' => is_serde_default(g),
-        _ => false,
-    });
+    let has = |path: &str, arg: &str| {
+        part.windows(2).any(|w| match w {
+            [TokenTree::Punct(p), TokenTree::Group(g)] if p.as_char() == '#' => {
+                is_attr(g, path, arg)
+            }
+            _ => false,
+        })
+    };
+    let (default, long) = (has("serde", "default"), has("wire", "long"));
     let i = skip_attrs_and_vis(part, 0);
     match part.get(i) {
         Some(TokenTree::Ident(id)) => Field {
             name: id.to_string(),
             default,
+            long,
         },
         other => panic!("serde derive: expected field name, found {other:?}"),
     }
@@ -205,13 +219,17 @@ fn read_fields(fields: &[Field], path: &str) -> String {
         .collect();
     let inits: String = fields
         .iter()
-        .map(|Field { name: f, default }| {
-            if *default {
-                format!("{f}: __f_{f}.take_or(::std::default::Default::default())?,")
-            } else {
-                format!("{f}: __f_{f}.take(\"{f}\", \"{path}\")?,")
-            }
-        })
+        .map(
+            |Field {
+                 name: f, default, ..
+             }| {
+                if *default {
+                    format!("{f}: __f_{f}.take_or(::std::default::Default::default())?,")
+                } else {
+                    format!("{f}: __f_{f}.take(\"{f}\", \"{path}\")?,")
+                }
+            },
+        )
         .collect();
     format!(
         "{slots}\n\
@@ -307,4 +325,40 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("serde derive: generated Deserialize impl must parse")
+}
+
+/// Derive `serde::Wire`: write and read the fields' raw bytes in
+/// declaration order. A `#[wire(long)]` field is written long; any other
+/// passes on the struct's own `long`.
+#[proc_macro_derive(Wire, attributes(wire))]
+pub fn derive_wire(input: TokenStream) -> TokenStream {
+    let (name, shape) = parse(input);
+    let Shape::Struct(fields) = shape else {
+        panic!("wire derive: enum `{name}` not supported by the offline shim")
+    };
+    let long = |f: &Field| if f.long { "true" } else { "__long" };
+    let puts: String = fields
+        .iter()
+        .map(|f| format!("::serde::Wire::put(&self.{}, __o, {});", f.name, long(f)))
+        .collect();
+    let takes: String = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "{0}: ::serde::Wire::take(__r, \"{0}\", {1})?,",
+                f.name,
+                long(f)
+            )
+        })
+        .collect();
+    format!(
+        "impl ::serde::Wire for {name} {{\n\
+             fn put(&self, __o: &mut ::std::vec::Vec<u8>, __long: bool) {{ {puts} }}\n\
+             fn take(__r: &mut ::serde::WireReader<'_>, _: &str, __long: bool) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+                 ::std::result::Result::Ok({name} {{ {takes} }})\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .expect("wire derive: generated Wire impl must parse")
 }
