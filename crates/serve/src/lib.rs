@@ -18,10 +18,11 @@
 //!   connections through one hand-rolled `poll(2)` loop, with pipelined
 //!   requests, per-request deadlines (enforced cooperatively inside
 //!   batches), load-shedding admission control for slow readers, and
-//!   graceful shutdown. [`protocol`] defines the JSON wire types,
-//!   [`framing`] the length-prefixed binary protocol negotiated per
-//!   connection (same [`protocol::Request`]/[`protocol::Response`] on
-//!   both), and [`error`] the typed error envelope.
+//!   graceful shutdown. [`protocol`] defines the wire types, which
+//!   derive their JSON and binary forms, [`framing`] the length-prefixed
+//!   binary protocol negotiated per connection (same
+//!   [`protocol::Request`]/[`protocol::Response`] on both), and [`error`]
+//!   the typed error envelope.
 //! * [`metrics`] — lock-free serving counters (latency quantiles from a
 //!   monotonic clock, lock-contention and snapshot-swap counts) surfaced
 //!   through the `stats` request and the run-report JSON.
