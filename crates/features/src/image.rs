@@ -22,10 +22,27 @@ pub struct DensityImage {
 impl DensityImage {
     /// Rasterize a CSR matrix onto a `res x res` grid.
     pub fn from_csr(csr: &CsrMatrix, res: usize) -> Self {
+        Self::from_positions(
+            csr.nrows(),
+            csr.ncols(),
+            csr.iter().map(|(r, c, _)| (r, c)),
+            res,
+        )
+    }
+
+    /// Rasterize the `nrows x ncols` matrix whose stored positions
+    /// `positions` yields, in any order, each once, onto a `res x res`
+    /// grid.
+    pub fn from_positions(
+        nrows: usize,
+        ncols: usize,
+        positions: impl IntoIterator<Item = (usize, usize)>,
+        res: usize,
+    ) -> Self {
         assert!(res > 0, "resolution must be positive");
         let mut counts = vec![0u32; res * res];
-        let (nrows, ncols) = (csr.nrows().max(1), csr.ncols().max(1));
-        for (r, c, _) in csr.iter() {
+        let (nrows, ncols) = (nrows.max(1), ncols.max(1));
+        for (r, c) in positions {
             // Map (r, c) to a cell; the multiply-first form avoids rounding
             // bias for matrices smaller than the grid.
             let pr = (r * res) / nrows;
@@ -116,6 +133,15 @@ mod tests {
         let a = DensityImage::from_csr(&CsrMatrix::from(&coo), 16);
         let b = DensityImage::from_csr(&CsrMatrix::from(&permuted), 16);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn positions_in_any_order_give_the_csr_image() {
+        let csr = CsrMatrix::from(&gen::kronecker(7, 900, 0.57, 0.19, 0.19, 4));
+        let mut positions: Vec<(usize, usize)> = csr.iter().map(|(r, c, _)| (r, c)).collect();
+        positions.reverse();
+        let img = DensityImage::from_positions(csr.nrows(), csr.ncols(), positions, 16);
+        assert_eq!(img, DensityImage::from_csr(&csr, 16));
     }
 
     #[test]
