@@ -11,7 +11,8 @@ use spsel_core::cache::{Cache, GcConfig, GrownRecord, NO_CACHE_ENV};
 use spsel_core::corpus::{Corpus, CorpusConfig};
 use spsel_core::experiments::ExperimentContext;
 use spsel_core::telemetry::RunReport;
-use spsel_gpusim::{FaultConfig, Gpu, TrialPolicy};
+use spsel_gpusim::{BenchResult, FaultConfig, Gpu, SpmvTimes, TrialPolicy};
+use spsel_matrix::Format;
 use std::path::PathBuf;
 use std::time::{Duration, SystemTime};
 
@@ -311,6 +312,34 @@ fn injected_corruption_is_counted_and_recomputed() {
     assert!(std::fs::read(&path).unwrap().len() > stored.len());
     assert!(Cache::new(&dir).load_record_shard(&cfg, 0, 0).is_some());
     let _ = plan;
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An out-of-memory format's infinite time is written as JSON `null` and
+/// must read back infinite, not NaN: the cell compares equal to the one
+/// written, and an infinite time still loses every comparison.
+#[test]
+fn an_infinite_kernel_time_round_trips_through_a_bench_shard() {
+    let dir = test_dir("infinite");
+    let cache = Cache::new(&dir);
+    let cfg = CorpusConfig::small(10, 7);
+    let written = vec![
+        Some(BenchResult {
+            times: SpmvTimes {
+                us: [10.0, 5.0, f64::INFINITY, 7.0],
+            },
+            best: Format::Csr,
+        }),
+        None,
+    ];
+    cache.store_bench_shard(&cfg, 0, Gpu::Turing, &[3, 4], &written);
+    let path = cache.bench_shard_path(&cfg, 0, Gpu::Turing).unwrap();
+    assert!(std::fs::read_to_string(&path)
+        .unwrap()
+        .contains("[10.0,5.0,null,7.0]"));
+    let read = cache.load_bench_shard(&cfg, 0, Gpu::Turing, &[3, 4]);
+    assert_eq!(read, Some(written));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,16 +2,35 @@
 
 use crate::noise::noise_factor;
 use crate::spec::GpuSpec;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Slot};
 use spsel_features::MatrixStats;
 use spsel_matrix::{Format, FormatRegistry, Workload};
 
 /// Modeled kernel times in microseconds, indexed by [`Format::index`].
 /// Out-of-memory formats are `f64::INFINITY`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpmvTimes {
     /// Microseconds per format in `Format::ALL` order.
     pub us: [f64; 4],
+}
+
+impl Deserialize for SpmvTimes {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        read_times(r, "SpmvTimes").map(|us| SpmvTimes { us })
+    }
+}
+
+/// Read a times object, `{"us": [...]}`, of type `ty`. JSON has no
+/// infinity, so the writer stores an out-of-memory format's
+/// `f64::INFINITY` as `null`; a plain `f64` would read that back as NaN,
+/// this reads it back as the infinity it was.
+fn read_times<const N: usize>(r: &mut Reader<'_>, ty: &str) -> Result<[f64; N], serde::Error> {
+    let mut us = Slot::<[Option<f64>; N]>::new();
+    r.object(&format!("object for {ty}"), |r, key| match &*key {
+        "us" => us.read(r),
+        _ => r.skip(),
+    })?;
+    Ok(us.take("us", ty)?.map(|t| t.unwrap_or(f64::INFINITY)))
 }
 
 impl SpmvTimes {
@@ -403,10 +422,16 @@ pub fn explain_workload(
 /// Modeled kernel times for every format of a registry under one
 /// workload, indexed by [`Format::index`]. Formats outside the registry
 /// are `f64::INFINITY`, same as out-of-memory ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadTimes {
     /// Microseconds per stable format id (`Format::UNIVERSE` order).
     pub us: [f64; Format::UNIVERSE_COUNT],
+}
+
+impl Deserialize for WorkloadTimes {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        read_times(r, "WorkloadTimes").map(|us| WorkloadTimes { us })
+    }
 }
 
 impl WorkloadTimes {
@@ -798,5 +823,28 @@ mod tests {
             assert_ne!(n_mv.to_bits(), n4.to_bits(), "{f}");
             assert_ne!(n4.to_bits(), n32.to_bits(), "{f}");
         }
+    }
+
+    #[test]
+    fn a_null_time_reads_back_infinite() {
+        let read = |json: &str| SpmvTimes::deserialize(&mut Reader::new(json));
+        let t = read(r#"{"us":[10.0,5.0,null,7.0]}"#).unwrap();
+        assert_eq!(t.us, [10.0, 5.0, f64::INFINITY, 7.0]);
+        let mut us = ["null"; Format::UNIVERSE_COUNT];
+        us[1] = "3.5";
+        let json = format!(r#"{{"us":[{}]}}"#, us.join(","));
+        let w = WorkloadTimes::deserialize(&mut Reader::new(&json)).unwrap();
+        assert_eq!(w.us[1], 3.5);
+        assert_eq!(w.best(), Format::UNIVERSE.get(1).copied());
+        // Anything else reads as a derived reader would.
+        assert_eq!(
+            read("[1]").unwrap_err().to_string(),
+            "expected object for SpmvTimes, found array"
+        );
+        assert_eq!(
+            read(r#"{"x":1}"#).unwrap_err().to_string(),
+            "missing field `us` in SpmvTimes"
+        );
+        assert!(read(r#"{"us":[1.0,"a",2.0,3.0]}"#).is_err());
     }
 }
