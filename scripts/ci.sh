@@ -550,6 +550,20 @@ if grep -q 'artifact-cache hit' "$SMOKE_DIR/train-grown.txt"; then
     exit 1
 fi
 
+echo "==> benchmark smoke (every workload for one second: correct, no failed ops)"
+# The benchmark as it is run, one short window per workload, built into
+# the root target/: a change that would stop a benchmark run, or make
+# one of its ops fail or its output stop matching, fails here first.
+for w in serve-mtx serve-features paper-tables; do
+    CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload "$w" \
+        --seed 1 --seconds 1 --trace 0 > "$SMOKE_DIR/bench-$w.txt"
+    RESULT="$(tail -n 1 "$SMOKE_DIR/bench-$w.txt")"
+    if ! grep -q '"correct": *true' <<< "$RESULT" || ! grep -q '"failed": *0[,}]' <<< "$RESULT"; then
+        echo "benchmark workload $w: $RESULT" >&2
+        exit 1
+    fi
+done
+
 echo "==> work tree unchanged (nothing above may write tracked or unignored files)"
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     TREE_AFTER="$(git status --porcelain)"
