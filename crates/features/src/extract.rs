@@ -8,10 +8,11 @@
 //! * from a CSR matrix ([`FeatureExtractor::stats`], and
 //!   [`MatrixStats::from_csr`] through a fresh extractor), in one walk
 //!   over the row pointers and column indices;
-//! * as the [`StructureSink`] of a Matrix Market read
-//!   ([`spsel_matrix::io::stream_matrix_market`]), one position at a
-//!   time, with no matrix built at all; [`FeatureExtractor::finish`] then
-//!   gives the stats;
+//! * as a [`StructureSink`], one position at a time, with no matrix
+//!   built at all: the sink of a Matrix Market read
+//!   ([`spsel_matrix::io::stream_matrix_market`]), and of a generated
+//!   corpus matrix's positions, permuted or not (`spsel_core::corpus`);
+//!   [`FeatureExtractor::finish`] then gives the stats;
 //! * from row counts alone ([`MatrixStats::from_row_counts`]), with no
 //!   diagonal census.
 //!
