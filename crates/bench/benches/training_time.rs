@@ -6,6 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spsel_features::pipeline::DEFAULT_PCA_DIM;
+use spsel_features::Preprocessor;
 use spsel_ml::forest::{RandomForest, RandomForestParams};
 use spsel_ml::gboost::{GradientBoosting, GradientBoostingParams};
 use spsel_ml::knn::KnnClassifier;
@@ -125,11 +127,23 @@ fn cluster(rows: usize, seed: u64) -> Dataset {
     Dataset::new(x, (0..rows).map(|i| i % 4).collect(), 4)
 }
 
+/// [`dataset`] through the tables' embedding pipeline (transforms,
+/// scaling, 8-component PCA): a cross-validation fold as SVM and KNN see
+/// it.
+fn embedded_fold(rows: usize, seed: u64) -> Dataset {
+    let data = dataset(rows, seed);
+    let pre = Preprocessor::fit_rows(&data.x, Some(DEFAULT_PCA_DIM));
+    let x = data.x.iter().map(|r| pre.embed_row(r)).collect();
+    Dataset::new(x, data.y, data.n_classes)
+}
+
 /// The fits the quick paper tables (4, 6 and 7) actually make: one
 /// cross-validation fold of the quick corpus, with the tree models at the
-/// tables' quick configuration, and the LR labeler on one cluster.
+/// tables' quick configuration, the SVM in the fold's embedding, and the
+/// LR labeler on one cluster.
 fn bench_training_table_scale(c: &mut Criterion) {
     let data = dataset(160, 5);
+    let fold = embedded_fold(160, 5);
     let members = cluster(12, 5);
     let mut group = c.benchmark_group("train_fold_160x21");
     group.sample_size(20);
@@ -163,6 +177,13 @@ fn bench_training_table_scale(c: &mut Criterion) {
                 ..Default::default()
             });
             m.fit(&data);
+            m
+        })
+    });
+    group.bench_function("svm_fold_160x8", |b| {
+        b.iter(|| {
+            let mut m = LinearSvm::with_defaults();
+            m.fit(&fold);
             m
         })
     });

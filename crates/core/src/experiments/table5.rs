@@ -3,6 +3,7 @@
 
 use super::{ExperimentContext, TRANSFER_PAIRS};
 use crate::semi::{ClusterMethod, Labeler, SemiConfig};
+use crate::share::FitPool;
 use crate::transfer::{transfer_semi, TransferInput};
 use serde::{Deserialize, Serialize};
 use spsel_gpusim::Gpu;
@@ -55,7 +56,14 @@ const LABELERS: [Labeler; 3] = [
 
 /// Run the transfer evaluation over all six GPU pairs (pairs whose source
 /// or target GPU degraded away are skipped).
+///
+/// Clusterings come from one [`FitPool`]: a fold's clustering depends on
+/// neither the labeler nor the source GPU, so the three labelers, and the
+/// two pairs that share a target, fit it once; and the Mean-Shift NC
+/// probe is one fit for all six pairs. Outputs are bit-identical to
+/// unpooled fits.
 pub fn run(ctx: &ExperimentContext, cfg: &Table5Config) -> Table5 {
+    let pool = FitPool::new();
     let common = ctx.common_subset();
     let features = ctx.features(&common);
     let active = ctx.active_gpus();
@@ -76,17 +84,12 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table5Config) -> Table5 {
             source: &source_results,
             target: &target_results,
         };
-        // Mean-Shift discovers its own cluster count; measure it once per
-        // pair so the NC column is informative.
-        let ms_nc = {
-            let labels: Vec<_> = source_results.iter().map(|r| r.best).collect();
-            crate::semi::SemiSupervisedSelector::fit(
-                &features,
-                &labels,
-                SemiConfig::new(ClusterMethod::MeanShift, Labeler::Vote, cfg.seed),
-            )
-            .n_clusters()
-        };
+        // Mean-Shift discovers its own cluster count; measure it on the
+        // whole common subset so the NC column is informative.
+        let ms_cfg = SemiConfig::new(ClusterMethod::MeanShift, Labeler::Vote, cfg.seed);
+        let ms_nc = pool
+            .clustering(&features, ms_cfg.method, ms_cfg.seed, ms_cfg.pca_dim)
+            .n_clusters();
         let mut rows = Vec::new();
         for base_method in [
             ClusterMethod::KMeans { nc: 0 },
@@ -106,7 +109,7 @@ pub fn run(ctx: &ExperimentContext, cfg: &Table5Config) -> Table5 {
                         ClusterMethod::MeanShift => ClusterMethod::MeanShift,
                     };
                     let semi_cfg = SemiConfig::new(method, labeler, cfg.seed);
-                    let qs = transfer_semi(input, semi_cfg, cfg.folds, cfg.seed);
+                    let qs = transfer_semi(input, semi_cfg, cfg.folds, cfg.seed, &pool);
                     let mut budgets = [[0.0; 3]; 3];
                     for (bi, q) in qs.iter().enumerate() {
                         budgets[bi] = [q.mcc, q.acc, q.f1];

@@ -5,11 +5,11 @@
 //! Folds run through the parallel runtime's index-addressed drivers: every
 //! fold derives from the same `(folds, seed)` split and writes only its own
 //! output slot, so serial and parallel runs are bit-identical at any worker
-//! count (`tests/thread_sweep.rs` proves it). The local protocols and
-//! supervised transfer fit through a shared [`FitPool`], so cells that
-//! would train an identical model fit it once; `tests/share.rs` proves
-//! every protocol bit-identical to a plain oracle that fits from scratch
-//! in every fold.
+//! count (`tests/thread_sweep.rs` proves it). Every protocol fits
+//! through a shared [`FitPool`], so cells that would train an identical
+//! model — or an identical embedding, or clustering — fit it once;
+//! `tests/share.rs` proves every protocol bit-identical to a plain oracle
+//! that fits from scratch in every fold.
 
 use crate::error::CoreResult;
 use crate::semi::{SemiConfig, SemiSupervisedSelector};
@@ -200,21 +200,28 @@ pub fn local_supervised(
 
 /// Transfer protocol for the semi-supervised selector (Table 5) at all
 /// three retraining budgets: the clustering is fitted *once* per fold on
-/// the training fold with *source* labels, then cloned and relabeled with
-/// *target* benchmarks of a stratified subset for each nonzero budget.
-/// Evaluation is against the target ground truth on the held-out fold.
+/// the training fold and labeled with *source* labels, then cloned and
+/// relabeled with *target* benchmarks of a stratified subset for each
+/// nonzero budget. Evaluation is against the target ground truth on the
+/// held-out fold. The folds depend only on the target's labels, so the
+/// clustering comes from `pool`: every labeler, and every source GPU of
+/// one target, shares it.
 pub fn transfer_semi(
     input: TransferInput<'_>,
     cfg: SemiConfig,
     folds: usize,
     seed: u64,
+    pool: &FitPool,
 ) -> [SelectionQuality; 3] {
     cross_validate(input.target, folds, seed, |train, test| {
-        let base = SemiSupervisedSelector::fit(
+        let fc = pool.clustering(
             &features_of(input.features, train),
-            &labels_of(input.source, train),
-            cfg,
+            cfg.method,
+            cfg.seed,
+            cfg.pca_dim,
         );
+        let base =
+            SemiSupervisedSelector::from_clustering(&fc, &labels_of(input.source, train), cfg);
         let test_features = features_of(input.features, test);
         let test_results = results_of(input.target, test);
         Ok(retrain_subsets(input.target, train, seed).map(|subset| {
@@ -331,7 +338,7 @@ mod tests {
             target: &target,
         };
         let cfg = SemiConfig::new(ClusterMethod::KMeans { nc: 8 }, Labeler::Vote, 1);
-        let [q0, _, q50] = transfer_semi(input, cfg, 5, 2);
+        let [q0, _, q50] = transfer_semi(input, cfg, 5, 2, &FitPool::new());
         // At 0% the selector predicts ELL for population A (source labels)
         // but the target wants CSR, so accuracy is ~0.5; retraining fixes it.
         assert!(q0.acc < 0.75, "0% acc {}", q0.acc);

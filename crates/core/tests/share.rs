@@ -262,13 +262,49 @@ fn budgets_protocol_matches_per_budget_protocol() {
     let sup_cfg = SupervisedConfig::quick(SupervisedModel::Dt, 5);
     let sup = transfer_supervised(input, sup_cfg, 3, 5, &FitPool::new()).unwrap();
     let semi_cfg = SemiConfig::new(ClusterMethod::KMeans { nc: 6 }, Labeler::Vote, 5);
-    let semi = transfer_semi(input, semi_cfg, 3, 5);
+    let semi = transfer_semi(input, semi_cfg, 3, 5, &FitPool::new());
     for (i, budget) in RetrainBudget::ALL.into_iter().enumerate() {
         let oracle = oracle_transfer_supervised(input, sup_cfg, budget, 3, 5).unwrap();
         assert_bit_identical(&sup[i], &oracle, &format!("supervised {budget:?}"));
         let oracle = oracle_transfer_semi(input, semi_cfg, budget, 3, 5);
         assert_bit_identical(&semi[i], &oracle, &format!("semi-supervised {budget:?}"));
     }
+}
+
+#[test]
+fn one_embedding_serves_svm_knn_and_every_budget_of_a_fold() {
+    let ctx = context();
+    let common = ctx.common_subset();
+    let features = ctx.features(&common);
+    let source = ctx.results(Gpu::Volta, &common).unwrap();
+    let target = ctx.results(Gpu::Pascal, &common).unwrap();
+    let input = TransferInput {
+        features: &features,
+        images: None,
+        source: &source,
+        target: &target,
+    };
+
+    let pool = FitPool::new();
+    for model in [SupervisedModel::Svm, SupervisedModel::Knn] {
+        let cfg = SupervisedConfig::quick(model, 6);
+        let pooled = transfer_supervised(input, cfg, 3, 6, &pool).unwrap();
+        for (i, budget) in RetrainBudget::ALL.into_iter().enumerate() {
+            let oracle = oracle_transfer_supervised(input, cfg, budget, 3, 6).unwrap();
+            assert_bit_identical(&pooled[i], &oracle, &format!("{model:?} {budget:?}"));
+        }
+    }
+    // Three folds, three embeddings: both models and all three budgets of
+    // a fold train in one.
+    assert_eq!(pool.embedding_fits(), 3);
+
+    // Local cross-validation on the target's labels splits the same folds,
+    // so its clusterings reuse those embeddings too.
+    let cfg = SemiConfig::new(ClusterMethod::KMeans { nc: 6 }, Labeler::Vote, 6);
+    let pooled = local_semi(&features, &target, cfg, 3, 6, &pool);
+    let oracle = oracle_local_semi(&features, &target, cfg, 3, 6);
+    assert_bit_identical(&pooled, &oracle, "K-Means-VOTE in pooled embeddings");
+    assert_eq!(pool.embedding_fits(), 3);
 }
 
 #[test]

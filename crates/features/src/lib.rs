@@ -31,7 +31,7 @@ pub use extract::FeatureExtractor;
 pub use feature::{FeatureId, FeatureVector, NUM_FEATURES};
 pub use image::DensityImage;
 pub use pca::Pca;
-pub use pipeline::Preprocessor;
+pub use pipeline::{Embedding, Preprocessor};
 pub use scale::MinMaxScaler;
 pub use stats::MatrixStats;
 pub use transform::{Transform, TransformSet};

@@ -132,6 +132,39 @@ impl Preprocessor {
     }
 }
 
+/// A pipeline fitted on a training set, with that set embedded through
+/// it: the label-independent input every embedding model trains on (the
+/// clusterings, the SVM and KNN). Fitting it is a pure function of the
+/// feature bits and `pca_dim`, so models that train on the same set can
+/// share one.
+#[derive(Debug, Clone)]
+pub struct Embedding {
+    preprocessor: Preprocessor,
+    rows: Vec<Vec<f64>>,
+}
+
+impl Embedding {
+    /// Fit the pipeline with a `pca_dim`-component PCA on `features` and
+    /// embed each of them: bit-identical to `Preprocessor::fit_rows` on
+    /// their rows followed by `embed_row` on each.
+    pub fn fit(features: &[FeatureVector], pca_dim: usize) -> Self {
+        let rows: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
+        let preprocessor = Preprocessor::fit_borrowed(&rows, Some(pca_dim));
+        let rows = rows.iter().map(|r| preprocessor.embed_row(r)).collect();
+        Embedding { preprocessor, rows }
+    }
+
+    /// The fitted pipeline.
+    pub fn preprocessor(&self) -> &Preprocessor {
+        &self.preprocessor
+    }
+
+    /// The training set embedded, one row per feature vector.
+    pub fn rows(&self) -> &[Vec<f64>] {
+        &self.rows
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -111,27 +111,37 @@ impl TreeBuilder<'_> {
             return self.leaf(g_sum, h_sum);
         }
 
-        // Exact greedy split search over all features.
+        // Exact greedy split search over all features. Two cut-offs skip
+        // only positions that could never pass the checks below: a
+        // feature whose node values are all equal has no threshold, and
+        // since every hessian is positive, `hl` never decreases, so once
+        // `h_sum - hl` falls below `min_child_weight` it stays below.
         let parent = score(self.params, g_sum, h_sum);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
         for f in 0..self.presort.dim() {
             let col = self.presort.column(f);
             let order = self.ranges.feature(f, lo, hi);
+            if col[order[order.len() - 1] as usize] <= col[order[0] as usize] {
+                continue;
+            }
             let mut gl = 0.0;
             let mut hl = 0.0;
             for s in 1..order.len() {
                 let prev = order[s - 1] as usize;
                 gl += self.grad[prev];
                 hl += self.hess[prev];
+                if h_sum - hl < self.params.min_child_weight {
+                    break;
+                }
                 let v_prev = col[prev];
                 let v_next = col[order[s] as usize];
                 if v_next <= v_prev {
                     continue;
                 }
-                let (gr, hr) = (g_sum - gl, h_sum - hl);
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                if hl < self.params.min_child_weight {
                     continue;
                 }
+                let (gr, hr) = (g_sum - gl, h_sum - hl);
                 let gain = 0.5 * (score(self.params, gl, hl) + score(self.params, gr, hr) - parent)
                     - self.params.gamma;
                 if gain > best.map_or(0.0, |(_, _, bg)| bg) + 1e-12 {
@@ -423,12 +433,37 @@ mod tests {
         gb
     }
 
+    /// Columns that are constant over the whole dataset or over the
+    /// nodes a split on another column makes, including one that mixes
+    /// `-0.0` and `0.0` (equal values that sort apart): the split search
+    /// skips every such column at such a node.
+    fn constant_columns_dataset() -> Dataset {
+        let mut rng = StdRng::seed_from_u64(31);
+        let x: Vec<Vec<f64>> = (0..96)
+            .map(|i| {
+                vec![
+                    2.0,
+                    if i % 3 == 0 { -0.0 } else { 0.0 },
+                    if i < 48 { 1.0 } else { 3.0 },
+                    if i < 48 { (i % 4) as f64 } else { 5.0 },
+                    rng.gen_range(-1.0..1.0),
+                ]
+            })
+            .collect();
+        let y: Vec<usize> = (0..96)
+            .map(|i| (usize::from(i >= 48) + usize::from(x[i][4] > 0.3)) % 3)
+            .collect();
+        Dataset::new(x, y, 3)
+    }
+
     /// The engine must grow boosters identical to the naive per-node
     /// re-sorting search: equal under `PartialEq`, in predictions, and in
     /// the serialized bytes, which also tell `-0.0` from `0.0`.
     #[test]
     fn presorted_gboost_identical_to_naive() {
-        for (name, data) in testdata::datasets() {
+        let mut datasets = testdata::datasets();
+        datasets.push(("constant_columns", constant_columns_dataset()));
+        for (name, data) in datasets {
             for params in [
                 GradientBoostingParams {
                     n_rounds: 8,
@@ -439,6 +474,12 @@ mod tests {
                     n_rounds: 4,
                     max_depth: 6,
                     min_child_weight: 2.0,
+                    ..Default::default()
+                },
+                GradientBoostingParams {
+                    n_rounds: 6,
+                    max_depth: 5,
+                    min_child_weight: 4.0,
                     ..Default::default()
                 },
             ] {

@@ -166,6 +166,12 @@ impl NodeRanges {
     /// Split node `lo..hi`: in every segment the samples `left` accepts
     /// move to `lo..mid` and the rest to `mid..hi`, each side keeping its
     /// order. Returns `mid`.
+    ///
+    /// The partition is branch-free: every sample is written both to the
+    /// left cursor (in place, which never passes the read position) and
+    /// to the right cursor (in the scratch buffer), and only the cursor
+    /// of its side advances. Which side a sample takes is data, so a
+    /// branch on it would mispredict about half the time.
     pub(crate) fn split(&mut self, lo: usize, hi: usize, left: impl Fn(usize) -> bool) -> usize {
         let NodeRanges {
             len,
@@ -180,20 +186,18 @@ impl NodeRanges {
             goes_left[i as usize] = l;
             n_left += l as usize;
         }
+        scratch.resize(hi - lo, 0);
         for segment in idx.chunks_exact_mut(*len) {
             let node = &mut segment[lo..hi];
-            scratch.clear();
             let mut w = 0;
             for r in 0..node.len() {
                 let i = node[r];
-                if goes_left[i as usize] {
-                    node[w] = i;
-                    w += 1;
-                } else {
-                    scratch.push(i);
-                }
+                node[w] = i;
+                scratch[r - w] = i;
+                w += goes_left[i as usize] as usize;
             }
-            node[w..].copy_from_slice(scratch);
+            debug_assert_eq!(w, n_left);
+            node[w..].copy_from_slice(&scratch[..hi - lo - w]);
         }
         lo + n_left
     }

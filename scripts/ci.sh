@@ -39,6 +39,12 @@ cargo test -q --offline
 echo "==> cargo test (full workspace)"
 cargo test -q --offline --workspace
 
+echo "==> cargo test (spsel-ml, release: the optimised kernels against their oracles)"
+# The learners' oracle tests compare each kernel with its reference
+# implementation bit for bit. A debug build does not auto-vectorise, so
+# only a release run checks the code the table binaries ship.
+cargo test -q --release --offline -p spsel-ml
+
 echo "==> perfbench (the benchmark builds and its own tests pass)"
 # perfbench/ is a Cargo workspace of its own, so the steps above never
 # build it: a library name it imports could vanish unnoticed until the
