@@ -11,7 +11,8 @@
 //! that determines it (feature values, labels, method, seed, PCA
 //! dimension), so two cells that would compute the same model compute it
 //! once — and a cell that would not, never shares by accident. Keys use
-//! the cache layer's [`KeyWriter`] FNV hashing.
+//! the cache layer's [`KeyWriter`] FNV hashing, over a word-at-a-time
+//! digest of the feature bits.
 //!
 //! The pool holds three kinds of fit, and each builds on the first:
 //!
@@ -90,13 +91,21 @@ pub struct FitPool {
     supervised: Shelf<SupervisedSelector>,
 }
 
+/// Feed a training set: its row count, then one digest of every
+/// feature's bit pattern in row order. The digest chains a 128-bit
+/// multiply-fold a 64-bit word at a time, an eighth of the steps of
+/// feeding the same bits to [`KeyWriter`] byte by byte. Pool keys never
+/// leave memory, so nothing persisted depends on this digest.
 fn feed_features(w: &mut KeyWriter, features: &[FeatureVector]) {
-    w.usize(features.len());
+    let mut h: u64 = 0x243f_6a88_85a3_08d3;
     for f in features {
         for &v in f.as_slice() {
-            w.f64(v);
+            let m = u128::from(h ^ v.to_bits()) * 0x9e37_79b9_7f4a_7c15;
+            h = (m as u64) ^ (m >> 64) as u64;
         }
     }
+    w.usize(features.len());
+    w.u64(h);
 }
 
 fn feed_method(w: &mut KeyWriter, method: ClusterMethod) {
@@ -203,5 +212,31 @@ impl FitPool {
                 self.embedding(features, dim)
             })
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spsel_features::NUM_FEATURES;
+
+    fn key(features: &[FeatureVector]) -> u64 {
+        let mut w = KeyWriter::new();
+        feed_features(&mut w, features);
+        w.finish()
+    }
+
+    /// The feature digest sees every bit and the order of the rows.
+    #[test]
+    fn feature_keys_tell_signed_zeros_and_row_order_apart() {
+        let row = |first: f64| {
+            let mut values = [1.5; NUM_FEATURES];
+            values[0] = first;
+            FeatureVector::from_raw(values)
+        };
+        assert_ne!(key(&[row(0.0)]), key(&[row(-0.0)]));
+        assert_ne!(key(&[row(2.0), row(3.0)]), key(&[row(3.0), row(2.0)]));
+        assert_ne!(key(&[row(2.0)]), key(&[row(2.0), row(2.0)]));
+        assert_eq!(key(&[row(2.0), row(3.0)]), key(&[row(2.0), row(3.0)]));
     }
 }

@@ -304,8 +304,10 @@ wait "$SERVE_PID"
 
 echo "==> read-only flood smoke (lock-free decisions, machine-readable bench)"
 # A learn:false flood must never take the write path: the bench record
-# proves zero write-lock acquisitions and zero snapshot swaps.
-./target/release/loadgen --clients 8 --requests 10 --read-frac 1.0 \
+# proves zero write-lock acquisitions and zero snapshot swaps. Its 1 000
+# decisions (8 clients x 125) put ten beyond the p99 the budget below
+# reads, so that p99 is not the one slowest decision.
+./target/release/loadgen --clients 8 --requests 125 --read-frac 1.0 \
     --model "$SMOKE_DIR/model.spsel" --bench-json "$SMOKE_DIR/BENCH_serve.json" \
     > "$SMOKE_DIR/loadgen-ro.txt" 2>/dev/null
 grep -q ' 0 failed' "$SMOKE_DIR/loadgen-ro.txt"
